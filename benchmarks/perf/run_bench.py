@@ -29,7 +29,12 @@ the recorded pre-optimisation baselines, and writes the results to
    sweeps (predictor, RHS, Newton, LTE step control, probing): the
    region the whole-timestep native kernel owns, seeded from the
    numpy-backend time of the identical call so the kernel is gated by
-   ``--check`` from day one.
+   ``--check`` from day one,
+10. ``alu_pipeline_sweep`` — Figure 12's two 12-point min-period
+    pipeline sweeps (organic and silicon) on the 16-bit complex ALU,
+    with the mapped netlist built outside the timed region: the STA
+    pass and the pipeline cutting it feeds, seeded from the time of the
+    gate-at-a-time greedy leveler on the 2-vCPU build box.
 
 Usage::
 
@@ -105,6 +110,7 @@ SEED_BASELINES = {
                                           # full re-time everywhere)
     "ensemble_newton": 0.082,             # numpy reference backend (PR 6)
     "native_timestep": 2.55,              # numpy backend, PR-6 sweep loop
+    "alu_pipeline_sweep": 4.53,           # gate-at-a-time greedy leveler
 }
 
 #: Trace length for the sweep benches — matches the PR-1 measurement the
@@ -374,6 +380,32 @@ def _bench_dse_sweep(workers: int | None) -> float:
         return time.perf_counter() - t0
 
 
+def _bench_alu_pipeline_sweep() -> float:
+    """Figure 12's organic and silicon pipeline sweeps, 16-bit complex ALU.
+
+    Libraries and the mapped netlist are prepared outside the timed
+    region, after the in-process synthesis memos are dropped, so the
+    timed STA pass starts from a fresh netlist.
+    """
+    from repro.analysis.figures import (
+        FIG12_STAGE_COUNTS,
+        load_libraries,
+        wire_models,
+    )
+    from repro.core.physical import block_netlist, reset_structure_caches
+    from repro.synthesis.pipeline import pipeline_sweep
+
+    org_lib, sil_lib = load_libraries()
+    org_wire, sil_wire = wire_models()
+    reset_structure_caches()
+    netlist = block_netlist("complex", 16)
+    profiling.reset()
+    t0 = time.perf_counter()
+    pipeline_sweep(netlist, org_lib, org_wire, FIG12_STAGE_COUNTS)
+    pipeline_sweep(netlist, sil_lib, sil_wire, FIG12_STAGE_COUNTS)
+    return time.perf_counter() - t0
+
+
 class _cache_dir:
     """Temporarily point the persistent result cache somewhere private."""
 
@@ -403,6 +435,7 @@ BENCHES = {
     "depth_sweep": _bench_depth_sweep,
     "width_sweep": _bench_width_sweep,
     "dse_sweep": _bench_dse_sweep,
+    "alu_pipeline_sweep": lambda workers: _bench_alu_pipeline_sweep(),
 }
 
 

@@ -280,10 +280,14 @@ def _alu_netlist(width: int) -> Netlist:
     return block_netlist("complex", width)
 
 
+#: Stage counts of Figure 12's ALU sweeps.
+FIG12_STAGE_COUNTS = (1, 2, 4, 6, 8, 10, 12, 14, 18, 22, 26, 30)
+
+
 def fig12_alu_depth(stage_counts: list[int] | None = None,
                     width: int = 16) -> Fig12Result:
     """Complex-ALU frequency and area versus pipeline stages."""
-    stage_counts = stage_counts or [1, 2, 4, 6, 8, 10, 12, 14, 18, 22, 26, 30]
+    stage_counts = stage_counts or list(FIG12_STAGE_COUNTS)
     netlist = _alu_netlist(width)
     org_lib, sil_lib = load_libraries()
     org_wire, sil_wire = wire_models()

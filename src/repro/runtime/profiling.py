@@ -50,6 +50,11 @@ Stages
 - ``sta`` — static timing analysis (scalar, vector and incremental
   engines), timed at the :func:`repro.synthesis.sta.static_timing`
   entry point only;
+- ``pipeline`` — min-period pipeline cutting
+  (:mod:`repro.synthesis.pipeline`): the budget bisection's leveling
+  passes, register counting and the per-sweep setup around them,
+  timed after the STA pass that supplies the gate delays, so it never
+  overlaps the ``sta`` booking;
 - ``structures`` — the Palacharla-style structure-model arithmetic in
   :mod:`repro.core.physical` (array/wakeup/regfile/ROB delay and area
   models, NLDM lookups outside STA), timed in segments disjoint from
@@ -60,8 +65,8 @@ Stages
   ``cache``, so warm sweep rows attribute their wall time instead of
   leaking it into ``overhead``.
 
-The three synthesis stages never nest (generation, mapping and timing
-are sequential phases of a sweep point), so the
+The four synthesis stages never nest (generation, mapping, timing and
+pipeline cutting are sequential phases of a sweep point), so the
 :class:`ProfileAccountingError` double-count guard applies to them
 unchanged.
 
@@ -98,7 +103,7 @@ ENABLED = False
 
 _STAGES = ("stamp", "device_eval", "solve", "rhs", "probe",
            "step_control", "predict", "retry", "cache", "telemetry",
-           "netlist", "mapping", "sta", "structures", "ipc")
+           "netlist", "mapping", "sta", "pipeline", "structures", "ipc")
 
 #: Registry timer names backing each stage.
 _TIMER = {stage: f"solver.{stage}" for stage in _STAGES}

@@ -24,6 +24,7 @@ from repro.synthesis.wires import WireModel, organic_wire_model, silicon_wire_mo
 from repro.synthesis.sta import TimingReport, static_timing
 from repro.synthesis.pipeline import (
     PipelineResult,
+    level_delays,
     min_period_for_stages,
     pipeline_sweep,
     stages_needed,
@@ -46,6 +47,7 @@ __all__ = [
     "TimingReport",
     "static_timing",
     "PipelineResult",
+    "level_delays",
     "min_period_for_stages",
     "pipeline_sweep",
     "stages_needed",

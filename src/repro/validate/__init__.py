@@ -5,8 +5,9 @@ engines against each other and injects the failures the runtime claims
 to survive.  Three check classes (see :mod:`repro.validate.checks`):
 
 - **differential** — every fast path (batched ensembles, the packed/
-  compiled IPC kernel, levelised-array STA, the persistent cache) diffed
-  against its reference implementation on seeded samples;
+  compiled IPC kernel, levelised-array STA, level-at-a-time pipeline
+  leveling, the persistent cache) diffed against its reference
+  implementation on seeded samples;
 - **invariant** — structural properties of characterised data and
   measurement code (NLDM sanity, lossless round-trips, ordered waveform
   crossings, worker-count-independent telemetry);

@@ -9,7 +9,8 @@ exception for a broken check).  Checks register themselves with the
 
 - ``differential`` — a fast path diffed against its oracle on
   randomized inputs (ensemble vs scalar SPICE, native vs python IPC
-  kernel, vector vs scalar STA, warm vs cold cache);
+  kernel, vector vs scalar STA, array vs greedy pipeline leveling, warm
+  vs cold cache);
 - ``invariant`` — structural properties that must hold of characterised
   libraries and solver outputs (nonnegative monotone NLDM delays,
   round-trip exactness, ordered waveform crossings, serial==parallel

@@ -1,12 +1,12 @@
 """Differential checks: every fast path diffed against its oracle.
 
-The repo carries four "same answer, faster" engines (batched ensemble
+The repo carries five "same answer, faster" engines (batched ensemble
 transients, the packed-array/compiled IPC kernel, levelised-array STA,
-and the persistent result cache).  Each check here runs a seeded sample
-through both the fast path and its reference implementation and fails on
-any disagreement beyond the documented tolerance — the tolerances are
-the same ones the unit suites enforce, so a validation failure means a
-real regression, not noise.
+level-at-a-time pipeline leveling, and the persistent result cache).
+Each check here runs a seeded sample through both the fast path and its
+reference implementation and fails on any disagreement beyond the
+documented tolerance — the tolerances are the same ones the unit suites
+enforce, so a validation failure means a real regression, not noise.
 """
 
 from __future__ import annotations
@@ -380,6 +380,116 @@ def sta_incremental_agreement(ctx: CheckContext) -> str:
             reset_map_cache()
     return (f"{compared} engine x width points bit-identical across "
             f"widths {list(widths)}")
+
+
+def _leveling_budgets(rng, netlist, delays: dict[str, float],
+                      n_random: int) -> list[float]:
+    """Budgets the min-period bisection visits, plus seeded extras.
+
+    The bisection midpoints of a few seeded stage-count targets (walked
+    with the oracle), uniform draws between one gate and the critical
+    path, exact ties (a gate's single-stage output time) and one budget
+    below gate granularity.
+    """
+    from repro.validate.pipeline_oracle import (
+        greedy_stages,
+        single_stage_times,
+    )
+
+    times = single_stage_times(netlist, delays)
+    lo = max(delays.values())
+    hi = max(max(times), lo) * (1.0 + 1e-9)
+    budgets = [hi, 0.5 * lo]
+    for target in rng.sample(range(1, 25), 4):
+        lo_b, hi_b = lo, hi
+        while hi_b - lo_b > 1e-3 * hi_b:
+            mid = 0.5 * (lo_b + hi_b)
+            budgets.append(mid)
+            res = greedy_stages(netlist, delays, mid)
+            if res is not None and res[0] <= target:
+                hi_b = mid
+            else:
+                lo_b = mid
+    budgets += [rng.uniform(lo, hi) for _ in range(n_random)]
+    ties = [t for t in times if t >= lo]
+    budgets += rng.sample(ties, min(n_random, len(ties)))
+    return budgets
+
+
+@check("pipeline-leveling", "differential")
+def pipeline_leveling(ctx: CheckContext) -> str:
+    """Level-at-a-time leveler and register count == the scalar greedy.
+
+    Exact equality of the stage count, every gate's stage and the
+    register count, over bisection midpoints, seeded budgets and exact
+    tie budgets on mapped blocks (and, in full mode, the 16-bit complex
+    ALU of Figure 12).
+    """
+    from repro.synthesis.generators import (
+        carry_select_adder,
+        ripple_carry_adder,
+        simple_alu,
+    )
+    from repro.synthesis.mapping import technology_map
+    from repro.synthesis.pipeline import (
+        count_registers,
+        level_delays,
+        per_gate_delays,
+        stages_needed,
+    )
+    from repro.synthesis.sta import _vector_structure
+    from repro.synthesis.wires import organic_wire_model
+    from repro.validate.pipeline_oracle import (
+        count_registers_dict,
+        greedy_stages,
+    )
+
+    builders = {
+        "rca8": lambda: technology_map(ripple_carry_adder(8)),
+        "csa8": lambda: technology_map(carry_select_adder(8)),
+        "alu8": lambda: technology_map(simple_alu(8)),
+    }
+    if not ctx.fast:
+        from repro.synthesis.generators import complex_alu_slice
+        builders["complex16"] = lambda: technology_map(complex_alu_slice(16))
+    library = mini_organic_library()
+    wire = organic_wire_model()
+    rng = ctx.rng()
+
+    checked = []
+    for name, build in builders.items():
+        netlist = build()
+        delays = per_gate_delays(netlist, library, wire)
+        arr = level_delays(netlist, delays)
+        names = _vector_structure(netlist)["gate_names"]
+        budgets = _leveling_budgets(rng, netlist, delays,
+                                    8 if ctx.fast else 24)
+        for budget in budgets:
+            got = stages_needed(netlist, arr, budget)
+            want = greedy_stages(netlist, delays, budget)
+            where = f"{name} @ budget {budget!r}"
+            if want is None:
+                expect(got is None, f"{where}: the leveler finds a cut, "
+                       f"the greedy finds the budget infeasible")
+                continue
+            expect(got is not None,
+                   f"{where}: leveler calls a feasible budget infeasible")
+            n, stage = got
+            expect(n == want[0],
+                   f"{where}: {n} stage(s), the greedy needs {want[0]}")
+            stage_of = dict(zip(names, stage.tolist()))
+            if stage_of != want[1]:
+                gate = next(g for g in names if stage_of[g] != want[1][g])
+                expect(False, f"{where}: gate {gate} in stage "
+                       f"{stage_of[gate]}, the greedy puts it in "
+                       f"{want[1][gate]}")
+            regs = count_registers(netlist, stage, n)
+            ref = count_registers_dict(netlist, want[1], n)
+            expect(regs == ref,
+                   f"{where}: {regs} registers, the oracle counts {ref}")
+        checked.append(f"{name}({len(netlist.gates)} gates, "
+                       f"{len(budgets)} budgets)")
+    return "leveler and register count exact on " + ", ".join(checked)
 
 
 @check("cache-warm-vs-cold", "differential")

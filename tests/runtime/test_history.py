@@ -189,6 +189,14 @@ class TestRegressGate:
             {"unseeded": 50.0}, self._baseline(), current_env=self.ENV)
         assert status == 0
 
+    def test_row_missing_from_baseline_not_gated(self):
+        """A bench row newer than the recorded file passes the gate."""
+        status, lines = history.regress_check(
+            {"depth_sweep": 1.0, "alu_pipeline_sweep": 99.0},
+            self._baseline(), current_env=self.ENV)
+        assert status == 0
+        assert any("passed" in line for line in lines)
+
     def test_env_mismatch_self_skips(self):
         status, lines = history.regress_check(
             {"depth_sweep": 99.0}, self._baseline(),

@@ -142,6 +142,24 @@ class TestPerturbationFailsLoudly:
         assert failure.kind == "differential"
         assert "disagrees with reference" in failure.error
 
+    def test_tie_breaking_leveler_detected(self, monkeypatch):
+        # Spill a gate whose output time equals the budget (`>=` where
+        # the greedy tests `>`): only the exact tie budgets expose it.
+        import numpy as np
+
+        import repro.synthesis.pipeline as pipeline
+
+        original = pipeline.stages_needed
+
+        def skewed(netlist, delays, budget):
+            return original(netlist, delays, np.nextafter(budget, 0.0))
+
+        monkeypatch.setattr(pipeline, "stages_needed", skewed)
+        report = run_validation(fast=True, seed=0,
+                                only=["pipeline-leveling"])
+        assert not report.ok
+        assert "the greedy" in report.results[0].error
+
     def test_corrupted_cache_read_detected(self, monkeypatch):
         # Serve stale cycles from the cache: the warm-vs-cold diff must
         # catch the divergence from the uncached computation.

@@ -9,9 +9,6 @@
 ``numpy``
     The reference backend — bit-for-bit the pre-backend-layer engine
     behaviour, used as the oracle by the equivalence suites.
-``blocked``
-    Structure-aware batched static-pivot LU
-    (:class:`~repro.spice.backends.blocked.BlockedBackend`).
 ``native``
     Force the compiled kernel; when the build fails the process warns
     once and runs on the reference backend instead (correct, slower).
@@ -26,13 +23,12 @@ import os
 
 from repro.runtime.log import get_logger
 from repro.spice.backends.base import EnsembleNewtonRequest, SolverBackend
-from repro.spice.backends.blocked import BlockedBackend, JacobianStructure
 from repro.spice.backends.numpy_ref import NumpyBackend
 from repro.spice.backends.native import NativeBackend
 
 __all__ = [
-    "SolverBackend", "EnsembleNewtonRequest", "JacobianStructure",
-    "NumpyBackend", "BlockedBackend", "NativeBackend",
+    "SolverBackend", "EnsembleNewtonRequest",
+    "NumpyBackend", "NativeBackend",
     "get_backend", "reset_backend",
 ]
 
@@ -40,7 +36,6 @@ logger = get_logger(__name__)
 
 _BACKENDS = {
     "numpy": NumpyBackend,
-    "blocked": BlockedBackend,
     "native": NativeBackend,
 }
 

@@ -10,9 +10,6 @@ purpose:
   matrices — they report per-system success flags instead, so a single
   degenerate ensemble lane can never abort a whole batch (the caller
   decides whether a failed lane is retried, deactivated, or fatal);
-- :meth:`factor_stacked` optionally returns a reusable factorisation so
-  a Newton loop whose Jacobian is frozen (bypassed stamps) can skip
-  re-factorising — backends without a cheap explicit LU return ``None``;
 - :meth:`ensemble_newton` optionally takes over the *entire* ensemble
   Newton inner loop (assemble + device eval + solve + damped update over
   the masked active set); backends that cannot return ``None`` and the
@@ -24,8 +21,6 @@ counters, so one instance serves every circuit and thread of a run.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 import numpy as np
 
@@ -52,8 +47,7 @@ class SolverBackend:
 
     # -- scalar -------------------------------------------------------------
 
-    def solve(self, J: np.ndarray, F: np.ndarray,
-              structure: Any | None = None) -> tuple[np.ndarray, bool]:
+    def solve(self, J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, bool]:
         """Solve ``J delta = -F`` for one system.
 
         Returns ``(delta, ok)``; ``ok`` is False (and ``delta`` all-zero)
@@ -63,8 +57,7 @@ class SolverBackend:
 
     # -- stacked ------------------------------------------------------------
 
-    def solve_stacked(self, J: np.ndarray, F: np.ndarray,
-                      structure: Any | None = None
+    def solve_stacked(self, J: np.ndarray, F: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
         """Solve ``J[a] delta[a] = -F[a]`` for a stacked ``(A, S, S)`` batch.
 
@@ -74,16 +67,6 @@ class SolverBackend:
         ensemble active set relies on.
         """
         raise NotImplementedError
-
-    def factor_stacked(self, J: np.ndarray,
-                       structure: Any | None = None) -> Any | None:
-        """Optional reusable factorisation of a stacked Jacobian.
-
-        Returns an object with ``solve(F) -> (delta, ok)`` semantics
-        matching :meth:`solve_stacked`, or ``None`` when this backend has
-        no cheap explicit factorisation (callers then re-solve).
-        """
-        return None
 
     # -- whole-loop hook ----------------------------------------------------
 

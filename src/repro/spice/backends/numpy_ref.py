@@ -11,8 +11,6 @@ answers — the same containment the ensemble engine previously inlined.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.spice.backends.base import SolverBackend
@@ -28,8 +26,7 @@ class NumpyBackend(SolverBackend):
 
     name = "numpy"
 
-    def solve(self, J: np.ndarray, F: np.ndarray,
-              structure: Any | None = None) -> tuple[np.ndarray, bool]:
+    def solve(self, J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, bool]:
         self._count(1)
         if _dgesv is not None:
             _, _, delta, info = _dgesv(J, -F, 0, 1)
@@ -41,8 +38,7 @@ class NumpyBackend(SolverBackend):
         except np.linalg.LinAlgError:
             return np.zeros_like(F), False
 
-    def solve_stacked(self, J: np.ndarray, F: np.ndarray,
-                      structure: Any | None = None
+    def solve_stacked(self, J: np.ndarray, F: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
         self._count(len(J))
         ok = np.ones(len(J), dtype=bool)

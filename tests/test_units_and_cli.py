@@ -1,6 +1,9 @@
-"""Units helpers and CLI smoke tests."""
+"""Units helpers, CLI smoke tests and the README knob table."""
 
+import ast
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +48,12 @@ class TestCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig11" in out and "liberty" in out
+        assert "perf" in out and "trace" in out
+        assert "serve" not in out and "submit" not in out
+        with pytest.raises(SystemExit) as exc:
+            main(["serve"])
+        assert exc.value.code == 2
+        assert "unknown experiments" in capsys.readouterr().err
 
     def test_fig4_runs(self, capsys):
         from repro.__main__ import main
@@ -93,3 +102,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cache root:" in out
         assert "this process:" in out
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_env_knob_has_one_readme_row():
+    """The ``REPRO_*`` names the package reads are exactly the README
+    knob-table rows: a new knob needs a row, a retired one loses it."""
+    read = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value):
+                read.add(node.value)
+    readme = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `(REPRO_[A-Z0-9_]+)`", readme, re.MULTILINE)
+    assert len(rows) == len(set(rows)), "duplicate knob-table rows"
+    assert set(rows) == read

@@ -6,10 +6,11 @@ assembly, fancy-indexed device scatters, ``np.linalg.solve`` dispatch,
 and the active-set mask arithmetic — each a handful of microseconds,
 tens of thousands of times.  This backend moves the complete
 stamp-residual-solve-update loop over a masked lane set into one C call
-per timestep, following the proven :mod:`repro.core.ipc_native` recipe:
+per timestep, built by the shared helper :mod:`repro.runtime.native`:
 compile with whatever system compiler exists (``cc``/``gcc``/``clang``),
-cache the shared object by source hash, bind through :mod:`ctypes`, and
-degrade silently to the pure-NumPy reference when any of that fails.
+cache the shared object by source and flags hash, bind through
+:mod:`ctypes`, and degrade silently to the pure-NumPy reference when any
+of that fails.
 
 Two entry points share one set of per-lane C helpers:
 
@@ -68,17 +69,12 @@ the backend-agreement validation check compares against.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
 from repro.devices.tft_level61 import StackedTftParams
-from repro.runtime import telemetry
+from repro.runtime import native, telemetry
 from repro.runtime.log import get_logger
 from repro.spice.backends.base import EnsembleNewtonRequest
 from repro.spice.backends.numpy_ref import NumpyBackend
@@ -701,10 +697,6 @@ long repro_ensemble_timestep(
 }
 """
 
-# Load state: "unset" until the first request, then the bound _Kernel
-# or None (unavailable).  Never retried within a process.
-_STATE: list = ["unset"]
-
 #: (bypass_on, eta, n_slots, slots, valid, x_stamp, J_nl, F_nl) when the
 #: stamp bypass is off — None maps to NULL under the void* argtypes.
 _NO_BYPASS = (0, 0.0, 0, None, None, None, None, None)
@@ -720,82 +712,7 @@ class _Kernel:
         self.timestep = timestep
 
 
-# Same conventions as repro.core.ipc_native (not imported: repro.core's
-# package __init__ drags in the characterization stack and would make
-# the solver import cyclic).
-def native_dir() -> Path:
-    """Directory for compiled kernels (override: REPRO_NATIVE_DIR)."""
-    override = os.environ.get("REPRO_NATIVE_DIR")
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro" / "native"
-
-
-def _find_compiler() -> str | None:
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
-
-
-def _compile() -> Path | None:
-    """Compile (or reuse) the solver kernel; None on any failure."""
-    # The cache key covers source AND flags: a flag change (e.g. a new
-    # optimisation level) must not silently reuse a stale binary.
-    tag = hashlib.sha256(
-        (_C_SOURCE + "|O3-native-v1").encode()).hexdigest()[:16]
-    directory = native_dir()
-    so_path = directory / f"spice_kernel_{tag}.so"
-    if so_path.exists():
-        return so_path
-
-    compiler = _find_compiler()
-    if compiler is None:
-        logger.warning(
-            "no C compiler found; the spice solver runs on the pure-NumPy "
-            "backend (correct, but slower)")
-        return None
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        src_path = directory / f"spice_kernel_{tag}.c"
-        src_path.write_text(_C_SOURCE)
-        with tempfile.NamedTemporaryFile(
-                dir=directory, suffix=".so", delete=False) as tmp:
-            tmp_path = Path(tmp.name)
-        # -ffp-contract=off: no fused multiply-adds, so the controller
-        # arithmetic in the whole-timestep loop is bit-identical to the
-        # NumPy orchestration it transliterates (-O3/-march=native keep
-        # IEEE evaluation order; only contraction would diverge).
-        result = subprocess.run(
-            [compiler, "-O3", "-march=native", "-ffp-contract=off",
-             "-shared", "-fPIC",
-             "-o", str(tmp_path), str(src_path), "-lm"],
-            capture_output=True, text=True, timeout=120)
-        if result.returncode != 0:
-            # Cross-compilers and exotic hosts may lack -march=native;
-            # retry portable before giving up.
-            result = subprocess.run(
-                [compiler, "-O3", "-ffp-contract=off", "-shared", "-fPIC",
-                 "-o", str(tmp_path), str(src_path), "-lm"],
-                capture_output=True, text=True, timeout=120)
-        if result.returncode != 0:
-            logger.warning(
-                "spice kernel compile failed (%s); falling back to the "
-                "pure-NumPy backend:\n%s", compiler, result.stderr.strip())
-            tmp_path.unlink(missing_ok=True)
-            return None
-        os.replace(tmp_path, so_path)              # atomic publish
-        return so_path
-    except OSError as exc:
-        logger.warning(
-            "spice kernel build unavailable (%s); falling back to the "
-            "pure-NumPy backend", exc)
-        return None
-
-
-def _bind(so_path: Path) -> _Kernel:
-    lib = ctypes.CDLL(str(so_path))
+def _bind(lib: ctypes.CDLL) -> _Kernel:
     L, D = ctypes.c_long, ctypes.c_double
     # All pointer parameters are declared void* and fed raw integer
     # addresses (``ndarray.ctypes.data`` / precomputed ints): the hooks
@@ -839,30 +756,22 @@ def _bind(so_path: Path) -> _Kernel:
     return _Kernel(newton, timestep)
 
 
-def load_kernel() -> _Kernel | None:
-    """The bound C kernel, or None when disabled/unavailable (cached)."""
-    if _STATE[0] != "unset":
-        return _STATE[0]
-    if os.environ.get("REPRO_NATIVE", "1") == "0":
-        _STATE[0] = None
-        return None
-    so_path = _compile()
-    if so_path is None:
-        _STATE[0] = None
-        return None
-    try:
-        _STATE[0] = _bind(so_path)
-    except OSError as exc:                         # stale/foreign object
-        logger.warning(
-            "spice kernel load failed (%s); falling back to the pure-NumPy "
-            "backend", exc)
-        _STATE[0] = None
-    return _STATE[0]
+# -ffp-contract=off: no fused multiply-adds, so the controller arithmetic
+# in the whole-timestep loop is bit-identical to the NumPy orchestration
+# it transliterates (-O3/-march=native keep IEEE evaluation order; only
+# contraction would diverge).  Cross-compilers and exotic hosts may lack
+# -march=native, so a portable build is tried next.
+_KERNEL = native.Kernel(
+    "spice_kernel", _C_SOURCE, _bind, logger, "the spice solver kernel",
+    "the pure-NumPy backend (correct, but slower)",
+    flag_sets=(("-O3", "-march=native", "-ffp-contract=off"),
+               ("-O3", "-ffp-contract=off")),
+    libs=("-lm",))
 
-
-def reset(state: str = "unset") -> None:
-    """Forget the cached load state (tests toggle REPRO_NATIVE around this)."""
-    _STATE[0] = state
+#: The bound _Kernel, or None when disabled/unavailable (cached).
+load_kernel = _KERNEL.load
+#: Forget the cached load state (tests toggle REPRO_NATIVE around this).
+reset = _KERNEL.reset
 
 
 class _NativePrep:

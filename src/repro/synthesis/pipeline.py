@@ -24,16 +24,20 @@ Registers inserted at stage boundaries are counted per crossed boundary
 the area growth with depth.
 
 The leveling and the register count run on the level-sorted array view
-of the netlist that vector STA caches (``sta._vector_structure``): one
-numpy pass per logic level, doing the greedy's own float operations, so
-the stage of every gate is bit-identical to the gate-at-a-time greedy
-kept in :mod:`repro.validate.pipeline_oracle` as the differential
-oracle.  A sweep shares one budget memo across its stage counts, whose
-bisections all start from the same bounds.
+of the netlist that vector STA caches (``sta._vector_structure``).  The
+leveler is a C loop over the gates in level order, built by
+:mod:`repro.runtime.native`; without a compiler (or with
+``REPRO_NATIVE=0``) one numpy pass per logic level runs instead.  Both
+do the greedy's own float operations, so the stage of every gate is
+bit-identical to the gate-at-a-time greedy kept in
+:mod:`repro.validate.pipeline_oracle` as the differential oracle.  A
+sweep shares one budget memo across its stage counts, whose bisections
+all start from the same bounds.
 """
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field
 
@@ -41,10 +45,13 @@ import numpy as np
 
 from repro.characterization.library import Library
 from repro.errors import PipelineError
-from repro.runtime import profiling, telemetry
+from repro.runtime import native, profiling, telemetry
+from repro.runtime.log import get_logger
 from repro.synthesis.netlist import Netlist
 from repro.synthesis.sta import _vector_structure, static_timing
 from repro.synthesis.wires import WireModel, block_span
+
+logger = get_logger(__name__)
 
 
 @dataclass(frozen=True)
@@ -95,8 +102,9 @@ def stages_needed(netlist: Netlist, delays: np.ndarray,
     *delays* holds the per-gate delays in level order
     (:func:`level_delays`).  Each gate starts from the latest stage among
     its inputs and the latest arrival within that stage (floored at 0.0);
-    if its delay would overrun the budget it opens the next stage.  One
-    numpy pass per logic level applies that rule to the whole level.
+    if its delay would overrun the budget it opens the next stage.  The
+    compiled kernel applies that rule gate by gate; without it, one
+    numpy pass per logic level applies it to the whole level.
 
     Returns ``(n_stages, stage)`` with ``stage[k]`` the stage of gate k in
     level order; ``None`` if some single gate exceeds the budget (gate
@@ -106,6 +114,82 @@ def stages_needed(netlist: Netlist, delays: np.ndarray,
         telemetry.count("pipeline.levelings")
     if len(delays) and delays.max() > budget:
         return None
+    if _KERNEL.load() is not None:
+        return _stages_native(netlist, delays, budget)
+    return _stages_numpy(netlist, delays, budget)
+
+
+_LEVELER_C = """
+#include <stdint.h>
+
+/* Greedy ASAP leveling of the gates in level order; the rule of
+ * stages_needed in repro/synthesis/pipeline.py.  g_in is n x width net
+ * ids with -1 padding (the sentinel net: stage 0, time 0.0, which is
+ * also each gate's starting point).  net_stage/net_t are zeroed by the
+ * caller; stage receives each gate's stage.  Returns the stage count.
+ */
+long repro_level(long n, long width, const int32_t *g_in,
+                 const int32_t *g_out, const double *delay, double budget,
+                 int32_t *net_stage, double *net_t, int32_t *stage)
+{
+    int32_t top = 0;
+    for (long k = 0; k < n; k++) {
+        int32_t s = 0;
+        double t = 0.0;
+        for (long p = 0; p < width; p++) {
+            int32_t net = g_in[k * width + p];
+            if (net < 0) continue;
+            if (net_stage[net] > s) { s = net_stage[net]; t = net_t[net]; }
+            else if (net_stage[net] == s && net_t[net] > t) t = net_t[net];
+        }
+        t += delay[k];
+        if (t > budget) { s += 1; t = delay[k]; }
+        stage[k] = s;
+        net_stage[g_out[k]] = s;
+        net_t[g_out[k]] = t;
+        if (s > top) top = s;
+    }
+    return top + 1L;
+}
+"""
+
+
+def _bind_leveler(lib: ctypes.CDLL):
+    fn = lib.repro_level
+    fn.restype = ctypes.c_long
+    P, L = ctypes.c_void_p, ctypes.c_long
+    fn.argtypes = [L, L, P, P, P, ctypes.c_double, P, P, P]
+    return fn
+
+
+_KERNEL = native.Kernel(
+    "pipeline_leveler", _LEVELER_C, _bind_leveler, logger,
+    "the pipeline leveler", "the numpy level-at-a-time loop")
+
+
+def _stages_native(netlist: Netlist, delays: np.ndarray,
+                   budget: float) -> tuple[int, np.ndarray]:
+    """The compiled leveler (the kernel must be buildable)."""
+    struct = _vector_structure(netlist)
+    g_in = np.ascontiguousarray(struct["g_in"], dtype=np.int32)
+    g_out = np.ascontiguousarray(struct["g_out"], dtype=np.int32)
+    delays = np.ascontiguousarray(delays, dtype=float)
+    if delays.shape != g_out.shape:              # the C loop reads n delays
+        raise ValueError(f"{delays.shape} delays for {len(g_out)} gates")
+    n_nets = len(struct["names"])
+    net_stage = np.zeros(n_nets, dtype=np.int32)
+    net_t = np.zeros(n_nets)
+    stage = np.empty(len(g_out), dtype=np.int32)
+    n = _KERNEL.build()(len(g_out), g_in.shape[1], g_in.ctypes.data,
+                        g_out.ctypes.data, delays.ctypes.data, budget,
+                        net_stage.ctypes.data, net_t.ctypes.data,
+                        stage.ctypes.data)
+    return int(n), stage
+
+
+def _stages_numpy(netlist: Netlist, delays: np.ndarray,
+                  budget: float) -> tuple[int, np.ndarray]:
+    """The level-at-a-time numpy leveler."""
     struct = _vector_structure(netlist)
     g_out = struct["g_out"]
     # An extra input column pointing at the sentinel net (index -1, state
@@ -317,12 +401,14 @@ def _cut_all(netlist: Netlist, library: Library, wire: WireModel,
              delays: dict[str, float], stage_counts, skew_fo4: float,
              tolerance: float) -> list[PipelineResult]:
     """Cut *netlist* at each stage count, booked as profiling stage
-    ``pipeline`` (disjoint from the ``sta`` pass that made *delays*)."""
+    ``pipeline`` (disjoint from the ``sta`` pass that made *delays*) and
+    as span ``pipeline:<netlist name>``."""
     t0 = time.perf_counter() if profiling.ENABLED else 0.0
     try:
-        cut = _SweepCut(netlist, library, delays)
-        return [cut.cut(library, wire, n, skew_fo4, tolerance)
-                for n in stage_counts]
+        with telemetry.span(f"pipeline:{netlist.name}"):
+            cut = _SweepCut(netlist, library, delays)
+            return [cut.cut(library, wire, n, skew_fo4, tolerance)
+                    for n in stage_counts]
     finally:
         if profiling.ENABLED:
             profiling.add("pipeline", time.perf_counter() - t0)

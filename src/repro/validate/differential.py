@@ -416,25 +416,21 @@ def _leveling_budgets(rng, netlist, delays: dict[str, float],
 
 @check("pipeline-leveling", "differential")
 def pipeline_leveling(ctx: CheckContext) -> str:
-    """Level-at-a-time leveler and register count == the scalar greedy.
+    """Both levelers and the register count == the scalar greedy.
 
-    Exact equality of the stage count, every gate's stage and the
-    register count, over bisection midpoints, seeded budgets and exact
-    tie budgets on mapped blocks (and, in full mode, the 16-bit complex
-    ALU of Figure 12).
+    The compiled leveler (when a compiler exists) and the numpy
+    level-at-a-time leveler are each called directly.  Exact equality of
+    the stage count, every gate's stage and the register count, over
+    bisection midpoints, seeded budgets and exact tie budgets on mapped
+    blocks (and, in full mode, the 16-bit complex ALU of Figure 12).
     """
+    from repro.synthesis import pipeline
     from repro.synthesis.generators import (
         carry_select_adder,
         ripple_carry_adder,
         simple_alu,
     )
     from repro.synthesis.mapping import technology_map
-    from repro.synthesis.pipeline import (
-        count_registers,
-        level_delays,
-        per_gate_delays,
-        stages_needed,
-    )
     from repro.synthesis.sta import _vector_structure
     from repro.synthesis.wires import organic_wire_model
     from repro.validate.pipeline_oracle import (
@@ -450,6 +446,9 @@ def pipeline_leveling(ctx: CheckContext) -> str:
     if not ctx.fast:
         from repro.synthesis.generators import complex_alu_slice
         builders["complex16"] = lambda: technology_map(complex_alu_slice(16))
+    legs = {"numpy": pipeline._stages_numpy}
+    if pipeline._KERNEL.build() is not None:
+        legs["native"] = pipeline._stages_native
     library = mini_organic_library()
     wire = organic_wire_model()
     rng = ctx.rng()
@@ -457,37 +456,40 @@ def pipeline_leveling(ctx: CheckContext) -> str:
     checked = []
     for name, build in builders.items():
         netlist = build()
-        delays = per_gate_delays(netlist, library, wire)
-        arr = level_delays(netlist, delays)
+        delays = pipeline.per_gate_delays(netlist, library, wire)
+        arr = pipeline.level_delays(netlist, delays)
         names = _vector_structure(netlist)["gate_names"]
         budgets = _leveling_budgets(rng, netlist, delays,
                                     8 if ctx.fast else 24)
         for budget in budgets:
-            got = stages_needed(netlist, arr, budget)
             want = greedy_stages(netlist, delays, budget)
             where = f"{name} @ budget {budget!r}"
+            infeasible = pipeline.stages_needed(netlist, arr, budget) is None
+            expect(infeasible == (want is None),
+                   f"{where}: the leveler calls the budget "
+                   f"{'in' if infeasible else ''}feasible, the greedy "
+                   f"does not")
             if want is None:
-                expect(got is None, f"{where}: the leveler finds a cut, "
-                       f"the greedy finds the budget infeasible")
                 continue
-            expect(got is not None,
-                   f"{where}: leveler calls a feasible budget infeasible")
-            n, stage = got
-            expect(n == want[0],
-                   f"{where}: {n} stage(s), the greedy needs {want[0]}")
-            stage_of = dict(zip(names, stage.tolist()))
-            if stage_of != want[1]:
-                gate = next(g for g in names if stage_of[g] != want[1][g])
-                expect(False, f"{where}: gate {gate} in stage "
-                       f"{stage_of[gate]}, the greedy puts it in "
-                       f"{want[1][gate]}")
-            regs = count_registers(netlist, stage, n)
-            ref = count_registers_dict(netlist, want[1], n)
-            expect(regs == ref,
-                   f"{where}: {regs} registers, the oracle counts {ref}")
+            ref = count_registers_dict(netlist, want[1], want[0])
+            for leg, level in legs.items():
+                n, stage = level(netlist, arr, budget)
+                expect(n == want[0], f"{where}: {leg} leveler needs {n} "
+                       f"stage(s), the greedy needs {want[0]}")
+                stage_of = dict(zip(names, stage.tolist()))
+                if stage_of != want[1]:
+                    gate = next(g for g in names
+                                if stage_of[g] != want[1][g])
+                    expect(False, f"{where}: {leg} leveler puts gate "
+                           f"{gate} in stage {stage_of[gate]}, the greedy "
+                           f"puts it in {want[1][gate]}")
+                regs = pipeline.count_registers(netlist, stage, n)
+                expect(regs == ref, f"{where}: {regs} registers from the "
+                       f"{leg} stages, the oracle counts {ref}")
         checked.append(f"{name}({len(netlist.gates)} gates, "
                        f"{len(budgets)} budgets)")
-    return "leveler and register count exact on " + ", ".join(checked)
+    return (f"{'+'.join(sorted(legs))}: leveler and register count exact "
+            f"on " + ", ".join(checked))
 
 
 @check("cache-warm-vs-cold", "differential")

@@ -5,7 +5,8 @@ asserts the *documented* recovery — not merely "no crash": a dead worker
 re-runs serially with complete results, a corrupt cache entry is evicted
 and recomputed, a hopeless Newton solve surfaces its full continuation
 trail (and survives pickling back from a worker), and a machine without
-a C toolchain transparently runs the pure-Python kernel.
+a C toolchain transparently runs the pure-Python IPC kernel and the
+numpy pipeline leveler.
 """
 
 from __future__ import annotations
@@ -101,27 +102,49 @@ def newton_event_trail(ctx: CheckContext) -> str:
 
 @check("missing-toolchain-fallback", "fault")
 def missing_toolchain_fallback(ctx: CheckContext) -> str:
-    """With no C compiler, the fast kernel runs pure-Python, same cycles."""
+    """With no C compiler, the IPC kernel runs pure-Python (same cycles)
+    and the pipeline leveler runs numpy (same stages); nothing is built."""
     from repro.core import ipc_native
     from repro.core.config import CoreConfig
     from repro.core.superscalar import simulate
     from repro.core.tradeoffs import make_traces
+    from repro.synthesis import pipeline
+    from repro.synthesis.generators import ripple_carry_adder
+    from repro.synthesis.mapping import technology_map
+    from repro.synthesis.sta import _vector_structure
+    from repro.validate.pipeline_oracle import greedy_stages
 
     config = CoreConfig()
     trace = make_traces(workloads=["dhrystone"], n_instructions=2_000,
                         seed=ctx.seed)["dhrystone"]
     reference = simulate(config, trace, kernel="reference")
+    rng = ctx.rng()
+    netlist = technology_map(ripple_carry_adder(8))
+    delays = {name: rng.uniform(0.5, 1.5) for name in netlist.gates}
+    budgets = [rng.uniform(1.5, 12.0) for _ in range(8)]
     with tempfile.TemporaryDirectory(prefix="repro-validate-") as tmp:
         with faults.missing_native_toolchain(tmp):
             expect(not ipc_native.native_available(),
                    "native kernel still available with no compiler and an "
                    "empty kernel cache — fault not injected")
             crippled = simulate(config, trace, kernel="fast")
-            expect(os.listdir(tmp) == [] or
-                   all(not f.endswith(".so") for f in os.listdir(tmp)),
+            expect(pipeline._KERNEL.load() is None,
+                   "pipeline leveler kernel still loads with no compiler")
+            arr = pipeline.level_delays(netlist, delays)
+            leveled = [pipeline.stages_needed(netlist, arr, b)
+                       for b in budgets]
+            expect(not any(f.endswith(".so") for f in os.listdir(tmp)),
                    "a kernel was compiled despite the missing toolchain")
     expect(crippled.cycles == reference.cycles,
            f"python fallback kernel diverges from reference: "
            f"{crippled.cycles} != {reference.cycles}")
-    return ("toolchain-less run fell back to the python kernel, "
-            f"cycle-exact ({crippled.cycles} cycles)")
+    names = _vector_structure(netlist)["gate_names"]
+    for budget, got in zip(budgets, leveled):
+        want = greedy_stages(netlist, delays, budget)
+        expect(got is not None and got[0] == want[0]
+               and dict(zip(names, got[1].tolist())) == want[1],
+               f"numpy fallback leveler diverges from the greedy on rca8 "
+               f"@ budget {budget!r}")
+    return ("toolchain-less run fell back to the python IPC kernel, "
+            f"cycle-exact ({crippled.cycles} cycles), and to the numpy "
+            f"leveler, greedy-exact on rca8 ({len(budgets)} budgets)")

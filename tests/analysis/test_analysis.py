@@ -9,8 +9,10 @@ from repro.analysis.figures import (
     fig4_model_fits,
     fig6_inverter_comparison,
     fig8_vss_tuning,
+    fig12_alu_depth,
 )
 from repro.analysis.tables import format_matrix, format_series, format_table
+from repro.runtime import telemetry
 
 
 class TestCalibration:
@@ -64,3 +66,13 @@ class TestFastFigures:
     def test_fig8_series_lengths(self):
         r = fig8_vss_tuning(vss_values=np.array([-18.0, -14.0, -10.0]))
         assert len(r.vss_values) == len(r.vm_values) == 3
+
+    def test_fig12_attributes_pipeline_cutting_to_spans(self, organic_lib,
+                                                        silicon_lib):
+        with telemetry.collecting():
+            with telemetry.span("fig12"):
+                fig12_alu_depth(stage_counts=[1, 2], width=8)
+            (root,) = telemetry.span_tree()
+        cuts = [c["name"] for c in root["children"]
+                if c["name"].startswith("pipeline:")]
+        assert cuts == ["pipeline:complex_slice_mapped"] * 2  # org + sil

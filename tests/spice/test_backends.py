@@ -9,6 +9,7 @@ an unknown backend name warns and resolves to ``auto``.
 """
 
 import logging
+import shutil
 
 import numpy as np
 import pytest
@@ -373,7 +374,8 @@ class TestDispatchAndDegradation:
             self, monkeypatch, tmp_path, caplog):
         """No compiler + no cached kernel: one warning, correct results."""
         monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path / "kernels"))
-        monkeypatch.setattr(native_mod.shutil, "which", lambda name: None)
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        monkeypatch.setattr(shutil, "which", lambda name: None)
         native_mod.reset()
         with caplog.at_level(logging.WARNING, logger="repro"):
             backend = _use(monkeypatch, "native")

@@ -6,8 +6,11 @@ from repro.errors import PipelineError, SynthesisError
 from repro.synthesis.generators import carry_select_adder, wallace_multiplier
 from repro.synthesis.mapping import technology_map
 from repro.synthesis.netlist import Netlist
-from repro.runtime import profiling, telemetry
+from repro.runtime import native, profiling, telemetry
+from repro.synthesis import pipeline
 from repro.synthesis.pipeline import (
+    _stages_native,
+    _stages_numpy,
     count_registers,
     level_delays,
     min_period_for_stages,
@@ -135,19 +138,20 @@ def _budget_grid(netlist, delays: dict[str, float]) -> list[float]:
     return grid
 
 
-def _assert_matches_oracle(netlist, delays: dict[str, float],
+def _assert_matches_oracle(level, netlist, delays: dict[str, float],
                            budgets: list[float]) -> int:
-    """Vector leveler and register count == the scalar oracle, exactly."""
+    """Leveler *level* and the register count == the scalar oracle,
+    exactly; ``stages_needed`` calls the same budgets infeasible."""
     arr = level_delays(netlist, delays)
     names = _vector_structure(netlist)["gate_names"]
     feasible = 0
     for budget in budgets:
-        got = stages_needed(netlist, arr, budget)
         want = greedy_stages(netlist, delays, budget)
+        assert (stages_needed(netlist, arr, budget) is None) == (
+            want is None), budget
         if want is None:
-            assert got is None, budget
             continue
-        n, stage = got
+        n, stage = level(netlist, arr, budget)
         assert n == want[0], budget
         assert dict(zip(names, stage.tolist())) == want[1], budget
         assert (count_registers(netlist, stage, n)
@@ -156,26 +160,48 @@ def _assert_matches_oracle(netlist, delays: dict[str, float],
     return feasible
 
 
+@pytest.fixture(params=["native", "numpy"])
+def leveler(request):
+    """The compiled or the numpy leveler, called directly (whatever
+    ``REPRO_NATIVE`` says); native skips only with no compiler at all."""
+    if request.param == "numpy":
+        return _stages_numpy
+    if native.find_compiler() is None:
+        pytest.skip("no cc/gcc/clang on PATH")
+    assert pipeline._KERNEL.build() is not None, "leveler kernel build failed"
+    return _stages_native
+
+
 class TestLevelingOracle:
-    """The level-at-a-time leveler against the gate-at-a-time greedy."""
+    """Both levelers against the gate-at-a-time greedy."""
 
     @pytest.mark.parametrize("block", ["adder", "multiplier"])
-    def test_matches_greedy_on_mapped_blocks(self, block, request,
+    def test_matches_greedy_on_mapped_blocks(self, leveler, block, request,
                                              organic_lib, organic_wire):
         netlist = request.getfixturevalue(block)
         delays = per_gate_delays(netlist, organic_lib, organic_wire)
         budgets = _budget_grid(netlist, delays)
-        assert _assert_matches_oracle(netlist, delays, budgets) >= 10
+        assert _assert_matches_oracle(leveler, netlist, delays,
+                                      budgets) >= 10
 
-    def test_tie_budget_keeps_gate_in_stage(self, adder, organic_lib,
-                                            organic_wire):
+    def test_tie_budget_keeps_gate_in_stage(self, leveler, adder,
+                                            organic_lib, organic_wire):
         """t_out == budget stays in the stage (the test is strictly >)."""
         delays = per_gate_delays(adder, organic_lib, organic_wire)
         hi = max(single_stage_times(adder, delays))
-        n, stage = stages_needed(adder, level_delays(adder, delays), hi)
+        n, stage = leveler(adder, level_delays(adder, delays), hi)
         assert n == 1 and not stage.any()
 
-    def test_hand_built_corner_cases(self):
+    def test_native_rejects_a_short_delay_array(self, adder, organic_lib,
+                                                organic_wire):
+        if native.find_compiler() is None:
+            pytest.skip("no cc/gcc/clang on PATH")
+        arr = level_delays(adder, per_gate_delays(adder, organic_lib,
+                                                  organic_wire))
+        with pytest.raises(ValueError, match="delays for"):
+            _stages_native(adder, arr[:-1], float(arr.sum()))
+
+    def test_hand_built_corner_cases(self, leveler):
         nl = Netlist("corners")
         a = nl.add_input("a")
         b = nl.add_input("b")
@@ -208,7 +234,7 @@ class TestLevelingOracle:
         assert not nl._insertion_topo
         budgets = [1.0, 100.0] + [2.0 + 0.1 * k for k in range(40)]
         budgets += single_stage_times(nl, delays)
-        assert _assert_matches_oracle(nl, delays, budgets) >= 40
+        assert _assert_matches_oracle(leveler, nl, delays, budgets) >= 40
 
 
 class TestMinPeriod:

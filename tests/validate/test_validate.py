@@ -145,20 +145,28 @@ class TestPerturbationFailsLoudly:
     def test_tie_breaking_leveler_detected(self, monkeypatch):
         # Spill a gate whose output time equals the budget (`>=` where
         # the greedy tests `>`): only the exact tie budgets expose it.
+        # Each leveler is skewed on its own; the native one is checked
+        # wherever a compiler exists.
         import numpy as np
 
         import repro.synthesis.pipeline as pipeline
+        from repro.runtime import native
 
-        original = pipeline.stages_needed
+        legs = ["numpy"] + (["native"] if native.find_compiler() else [])
+        for leg in legs:
+            name = f"_stages_{leg}"
+            original = getattr(pipeline, name)
 
-        def skewed(netlist, delays, budget):
-            return original(netlist, delays, np.nextafter(budget, 0.0))
+            def skewed(netlist, delays, budget, original=original):
+                return original(netlist, delays, np.nextafter(budget, 0.0))
 
-        monkeypatch.setattr(pipeline, "stages_needed", skewed)
-        report = run_validation(fast=True, seed=0,
-                                only=["pipeline-leveling"])
-        assert not report.ok
-        assert "the greedy" in report.results[0].error
+            with monkeypatch.context() as patch:
+                patch.setattr(pipeline, name, skewed)
+                report = run_validation(fast=True, seed=0,
+                                        only=["pipeline-leveling"])
+            assert not report.ok, leg
+            assert f"{leg} leveler" in report.results[0].error
+            assert "the greedy" in report.results[0].error
 
     def test_corrupted_cache_read_detected(self, monkeypatch):
         # Serve stale cycles from the cache: the warm-vs-cold diff must
@@ -216,11 +224,15 @@ class TestFaultPrimitives:
 
     def test_missing_toolchain_restores_state(self, tmp_path):
         from repro.core import ipc_native
+        from repro.spice.backends import native as spice_native
+        from repro.synthesis import pipeline
 
-        before = ipc_native.native_available()
+        loaders = (ipc_native.load_kernel, spice_native.load_kernel,
+                   pipeline._KERNEL.load)
+        before = [load() is not None for load in loaders]
         with faults.missing_native_toolchain(tmp_path / "empty"):
-            assert not ipc_native.native_available()
-        assert ipc_native.native_available() == before
+            assert [load() for load in loaders] == [None, None, None]
+        assert [load() is not None for load in loaders] == before
 
 
 class TestCli:

@@ -34,7 +34,11 @@ the recorded pre-optimisation baselines, and writes the results to
     pipeline sweeps (organic and silicon) on the 16-bit complex ALU,
     with the mapped netlist built outside the timed region: the STA
     pass and the pipeline cutting it feeds, seeded from the time of the
-    gate-at-a-time greedy leveler on the 2-vCPU build box.
+    gate-at-a-time greedy leveler on the 2-vCPU build box,
+11. ``dff_characterization`` — the organic flip-flop at the default
+    grid (clk->q table, setup search, leakage): the largest single
+    consumer of the compiled spice kernel, seeded from the time of the
+    dense-LU kernel on the 2-vCPU build box.
 
 Usage::
 
@@ -111,6 +115,7 @@ SEED_BASELINES = {
     "ensemble_newton": 0.082,             # numpy reference backend (PR 6)
     "native_timestep": 2.55,              # numpy backend, PR-6 sweep loop
     "alu_pipeline_sweep": 4.53,           # gate-at-a-time greedy leveler
+    "dff_characterization": 0.66,         # dense-LU spice kernel
 }
 
 #: Trace length for the sweep benches — matches the PR-1 measurement the
@@ -154,6 +159,24 @@ def _bench_library_characterization(workers: int | None) -> float:
     t0 = time.perf_counter()
     characterize_library(organic_library_definition(), use_cache=False,
                          workers=workers)
+    return time.perf_counter() - t0
+
+
+def _bench_dff_characterization(workers: int | None) -> float:
+    from repro.cells.library_def import organic_library_definition
+    from repro.characterization import harness
+
+    defn = organic_library_definition()
+    inv = defn.cell("inv")
+    t_unit = harness.estimate_gate_delay(inv,
+                                         4.0 * inv.input_capacitance("a"))
+    grid = harness.default_grid(defn)
+    area = defn.cell_area("dff")
+    # Warm-up pays the kernel load, then measure.
+    harness.characterize_dff(defn.dff, grid, area, t_unit, workers=workers)
+    profiling.reset()
+    t0 = time.perf_counter()
+    harness.characterize_dff(defn.dff, grid, area, t_unit, workers=workers)
     return time.perf_counter() - t0
 
 
@@ -436,6 +459,7 @@ BENCHES = {
     "width_sweep": _bench_width_sweep,
     "dse_sweep": _bench_dse_sweep,
     "alu_pipeline_sweep": lambda workers: _bench_alu_pipeline_sweep(),
+    "dff_characterization": _bench_dff_characterization,
 }
 
 

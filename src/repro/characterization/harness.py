@@ -112,8 +112,10 @@ def _non_controlling(design: CellDesign, pin: str) -> dict[str, float]:
         f"no sensitising side-input assignment for {design.name!r}.{pin}")
 
 
-def _arc_testbench(design: CellDesign, pin: str, v0: float, v1: float,
-                   t_start: float, slew: float, load: float) -> Circuit:
+def _arc_testbench(design: CellDesign, pin: str, side: dict[str, float],
+                   v0: float, v1: float, t_start: float, slew: float,
+                   load: float) -> Circuit:
+    """*pin* ramps v0 -> v1; the other inputs hold their *side* levels."""
     ckt = Circuit(f"char_{design.name}_{pin}")
     node_map = {p: p for p in design.inputs}
     node_map["out"] = "out"
@@ -123,7 +125,6 @@ def _arc_testbench(design: CellDesign, pin: str, v0: float, v1: float,
         else:
             node_map[rail] = rail
             ckt.add(VoltageSource(f"v_{rail}", rail, "0", volts))
-    side = _non_controlling(design, pin)
     for p, v in side.items():
         ckt.add(VoltageSource(f"v_{p}", p, "0", v))
     ckt.add(VoltageSource(f"v_{pin}", pin, "0",
@@ -167,7 +168,8 @@ def measure_arc(design: CellDesign, pin: str, input_rise: bool,
         dt = t_stop / n_steps
         # The ramp must be resolved by several steps.
         dt = min(dt, slew * _RAMP_FACTOR / 8.0)
-        ckt = _arc_testbench(design, pin, v0, v1, t_start, slew, load)
+        ckt = _arc_testbench(design, pin, side, v0, v1, t_start, slew,
+                             load)
         try:
             result = transient(ckt, TransientOptions(
                 dt=dt, t_stop=t_stop, dt_max=16.0 * dt,
@@ -250,7 +252,7 @@ def measure_arc_batch(design: CellDesign, pin: str, input_rise: bool,
         starts = {k: (0.25 * points[k][0] * _RAMP_FACTOR
                       + 0.05 * point_hints[k])
                   for k in chunk_idx}
-        circuits = {k: _arc_testbench(design, pin, v0, v1, starts[k],
+        circuits = {k: _arc_testbench(design, pin, side, v0, v1, starts[k],
                                       points[k][0], points[k][1])
                     for k in chunk_idx}
         pending = chunk_idx
@@ -603,6 +605,7 @@ def _captures(dff: CompositeCell, load: float, clk_slew: float,
     the final Q level.
     """
     vdd = dff.rails["vdd"]
+    telemetry.count("char.setup_trials")
     # The flop is cleared first, so an uncaptured Q stays at 0.
     result, _t_clk = _dff_transient(
         dff, load, clk_slew, t_unit, d_level=vdd, q_rises=True,
@@ -622,6 +625,7 @@ def _captures_batch(dff: CompositeCell, load: float, clk_slew: float,
     the scalar search.
     """
     vdd = dff.rails["vdd"]
+    telemetry.count("char.setup_trials", len(offsets))
     members, opts = [], []
     for offset in offsets:
         ckt, _t_clk, options = _dff_stimulus(
@@ -788,10 +792,9 @@ def characterize_dff(dff: CompositeCell, grid: CharacterizationGrid,
         return _characterize_dff(dff, grid, area, t_unit, workers)
 
 
-def _characterize_dff(dff: CompositeCell, grid: CharacterizationGrid,
-                      area: float, t_unit: float,
-                      workers: int | None) -> SequentialTiming:
-    telemetry.count("char.cells")
+def _dff_clk_to_q_table(dff: CompositeCell, grid: CharacterizationGrid,
+                        t_unit: float, workers: int | None) -> np.ndarray:
+    """The clk->q delays over the (slew, load) grid, batched if enabled."""
     if _ensemble_enabled():
         points = [(slew, load)
                   for slew in grid.slews for load in grid.loads]
@@ -814,19 +817,30 @@ def _characterize_dff(dff: CompositeCell, grid: CharacterizationGrid,
                                labels=labels, on_error="capture",
                                phase=f"characterize[{dff.name}]")
         flat = [r.unwrap() for r in results]
-    values = np.asarray(flat).reshape(len(grid.slews), len(grid.loads))
+    return np.asarray(flat).reshape(len(grid.slews), len(grid.loads))
+
+
+def _characterize_dff(dff: CompositeCell, grid: CharacterizationGrid,
+                      area: float, t_unit: float,
+                      workers: int | None) -> SequentialTiming:
+    telemetry.count("char.cells")
+    with telemetry.span("dff:clk_to_q"):
+        values = _dff_clk_to_q_table(dff, grid, t_unit, workers)
     mid_slew = grid.slews[len(grid.slews) // 2]
     mid_load = grid.loads[len(grid.loads) // 2]
-    setup = measure_setup_time(dff, mid_slew, mid_load, t_unit)
+    with telemetry.span("dff:setup"):
+        setup = measure_setup_time(dff, mid_slew, mid_load, t_unit)
     # Hold: our fully-static NAND flop is hold-safe by construction (the
     # master is opaque when the clock is high); report a conservative
     # fraction of a gate delay.
     hold = 0.25 * t_unit
 
-    leak_cells = {}
-    for _, design, _ in dff.subcells:
-        leak_cells.setdefault(design.name, average_leakage(design))
-    leakage = sum(leak_cells[design.name] for _, design, _ in dff.subcells)
+    with telemetry.span("dff:leakage"):
+        leak_cells = {}
+        for _, design, _ in dff.subcells:
+            leak_cells.setdefault(design.name, average_leakage(design))
+        leakage = sum(leak_cells[design.name]
+                      for _, design, _ in dff.subcells)
 
     return SequentialTiming(
         name="dff",

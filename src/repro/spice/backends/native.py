@@ -57,6 +57,14 @@ The C kernels are transliterations of the reference semantics:
   to the NumPy orchestration — the whole-timestep and per-iteration
   native paths produce identical step schedules.
 
+The linear solve is a sparse LU that replays a pivot order recorded
+per lane and keeps a frozen (stamp-bypassed) iteration's factors while
+its matrix cannot have changed; it is bit-identical to the dense
+partial-pivot LU it replaced (see the C comment and the
+``kernel-lu-oracle`` check).  Both entry points report LU
+factorizations, reuses, re-records and device evaluations as
+``backend.native.*`` counters.
+
 Scalar and small-batch solves inherit the NumPy reference paths; only
 the ensemble hooks are native.  Results agree with the reference to
 solver/rounding tolerance (libm vs NumPy transcendentals differ in the
@@ -155,48 +163,250 @@ static void eval_tft(const double *pr, double vgs, double vds,
     *ids = i_ch; *gm = g_m; *gds = g_ds;
 }
 
-/* Partial-pivot LU solve of J delta = rhs, in place; J is S x S with
- * row stride `stride`.  Returns 0, or 1 on an exactly-zero pivot (the
- * LAPACK dgesv singularity condition). */
-static int lu_solve(double *J, long stride, double *rhs, long S)
+/* Sparse LU with a recorded pivot order, after KLU's refactor path
+ * (Davis & Palamadai Natarajan, "Algorithm 907: KLU", ACM TOMS 2010).
+ * The arithmetic is the dense partial-pivot LU's (repro.validate.
+ * lu_oracle): step k pivots on the largest |a| among the rows at or
+ * below k in current row order, the first one winning, and every entry
+ * gets the same updates in the same k order.  Rows never move: step k
+ * pivots on physical row piv[k], and a row keeps its multipliers and
+ * right-hand side entry where it started.  Only operations with a
+ * structurally zero multiplier or pivot-row entry are left out; on
+ * finite values those are exact zeros, so every nonzero result is
+ * bit-identical (at most the sign of a zero differs).  A non-finite
+ * matrix or solution takes the dense pattern, i.e. the dense loop.
+ *
+ * A recording pass eliminates over the structure nz0 plus its fill and
+ * keeps, per step k, the candidate rows below k, the eliminated rows
+ * and the pivot row's columns right of k (its row of U).  A replay
+ * walks those lists and checks each pivot search picks the same row. */
+typedef struct {
+    long S, state;              /* state: 0 none, 1 sparse, 2 dense */
+    int32_t *perm, *rowk, *piv; /* S each */
+    int32_t *cand_off, *elim_off, *col_off;   /* S+1 each */
+    int32_t *cand, *elim, *col; /* up to S*S each */
+    uint8_t *nz0, *nz;          /* S*S structure, symbolic scratch */
+} lu_pat;
+
+/* Nine int32 lists of S*S+1, then the two S*S structure maps. */
+#define LU_BYTES(S) (9 * ((size_t)(S) * (S) + 1) * sizeof(int32_t) \
+                     + 2 * (size_t)(S) * (S))
+
+static void lu_init(lu_pat *w, long S, void *mem)
 {
+    int32_t **v[9] = { &w->perm, &w->rowk, &w->piv, &w->cand_off,
+                       &w->elim_off, &w->col_off, &w->cand, &w->elim,
+                       &w->col };
+    for (long i = 0; i < 9; i++)
+        *v[i] = (int32_t *)mem + i * (S * S + 1);
+    w->nz0 = (uint8_t *)((int32_t *)mem + 9 * (S * S + 1));
+    w->nz = w->nz0 + S * S;
+    w->S = S;
+    w->state = 0;
+}
+
+/* The pivot row of step k: the largest |a| over row rowk[k] and the
+ * candidates below it, in current row order, the first one winning. */
+static inline long lu_pivot(const lu_pat *w, const double *J, long k)
+{
+    long S = w->S, p = w->rowk[k];
+    double best = fabs(J[p * S + k]);
+    for (long q = w->cand_off[k]; q < w->cand_off[k + 1]; q++) {
+        double v = fabs(J[w->cand[q] * S + k]);
+        if (v > best) { best = v; p = w->cand[q]; }
+    }
+    return p;
+}
+
+/* Step k of the elimination along the recorded lists, pivot row p. */
+static inline void lu_eliminate(const lu_pat *w, double *J, long k, long p)
+{
+    long S = w->S;
+    const double *prow = J + p * S;
+    double piv = prow[k];
+    for (long q = w->elim_off[k]; q < w->elim_off[k + 1]; q++) {
+        double *row = J + (long)w->elim[q] * S;
+        double f = row[k] / piv;
+        row[k] = f;
+        for (long u = w->col_off[k]; u < w->col_off[k + 1]; u++)
+            row[w->col[u]] -= f * prow[w->col[u]];
+    }
+}
+
+/* Full pass: pick the pivots on J and eliminate over the structure
+ * (all ones when `dense`), recording the lists.  Returns 0, or 1 on an
+ * exactly-zero pivot (the LAPACK dgesv singularity condition). */
+static int lu_record(lu_pat *w, double *J, int dense)
+{
+    long S = w->S, nc = 0, ne = 0, nu = 0;
+    int32_t *perm = w->perm;
+    uint8_t *nz = w->nz;
+    w->state = 0;
+    if (dense) memset(nz, 1, (size_t)(S * S));
+    else memcpy(nz, w->nz0, (size_t)(S * S));
+    for (long i = 0; i < S; i++) perm[i] = (int32_t)i;
     for (long k = 0; k < S; k++) {
-        long p = k;
-        double best = fabs(J[k * stride + k]);
-        for (long i = k + 1; i < S; i++) {
-            double v = fabs(J[i * stride + k]);
-            if (v > best) { best = v; p = i; }
-        }
-        if (J[p * stride + k] == 0.0) return 1;
-        if (p != k) {
-            for (long j = k; j < S; j++) {
-                double t = J[k * stride + j];
-                J[k * stride + j] = J[p * stride + j];
-                J[p * stride + j] = t;
-            }
-            double t = rhs[k]; rhs[k] = rhs[p]; rhs[p] = t;
-        }
-        double piv = J[k * stride + k];
-        for (long i = k + 1; i < S; i++) {
-            double f = J[i * stride + k] / piv;
-            J[i * stride + k] = f;
-            for (long j = k + 1; j < S; j++)
-                J[i * stride + j] -= f * J[k * stride + j];
-            rhs[i] -= f * rhs[k];
-        }
+        w->rowk[k] = perm[k];
+        w->cand_off[k] = (int32_t)nc;
+        for (long i = k + 1; i < S; i++)
+            if (nz[perm[i] * S + k]) w->cand[nc++] = perm[i];
+        w->cand_off[k + 1] = (int32_t)nc;
+        long p = lu_pivot(w, J, k), i = k;
+        if (J[p * S + k] == 0.0) return 1;
+        while (perm[i] != p) i++;
+        perm[i] = perm[k];
+        perm[k] = (int32_t)p;
+        w->piv[k] = (int32_t)p;
+        w->elim_off[k] = (int32_t)ne;
+        w->col_off[k] = (int32_t)nu;
+        for (i = k + 1; i < S; i++)
+            if (nz[perm[i] * S + k]) w->elim[ne++] = perm[i];
+        for (long j = k + 1; j < S; j++)
+            if (nz[p * S + j]) w->col[nu++] = (int32_t)j;
+        w->elim_off[k + 1] = (int32_t)ne;
+        w->col_off[k + 1] = (int32_t)nu;
+        for (long q = w->elim_off[k]; q < ne; q++)
+            for (long u = w->col_off[k]; u < nu; u++)
+                nz[w->elim[q] * S + w->col[u]] = 1;
+        lu_eliminate(w, J, k, p);
+    }
+    w->state = dense ? 2 : 1;
+    return 0;
+}
+
+/* Refactor along the recorded lists.  Returns 0, 1 on an exactly-zero
+ * pivot, or 2 when a pivot search picks another row than the recorded
+ * one (J is then partly eliminated and must be restored). */
+static int lu_replay(const lu_pat *w, double *J)
+{
+    for (long k = 0; k < w->S; k++) {
+        long p = lu_pivot(w, J, k);
+        if (p != w->piv[k]) return 2;
+        if (J[p * w->S + k] == 0.0) return 1;
+        lu_eliminate(w, J, k, p);
+    }
+    return 0;
+}
+
+/* Forward substitution by physical row (b is destroyed), then back
+ * substitution with j ascending into x. */
+static void lu_apply(const lu_pat *w, const double *J, double *b, double *x)
+{
+    long S = w->S;
+    for (long k = 0; k < S; k++) {
+        double bk = b[w->piv[k]];
+        for (long q = w->elim_off[k]; q < w->elim_off[k + 1]; q++)
+            b[w->elim[q]] -= J[w->elim[q] * S + k] * bk;
     }
     for (long k = S - 1; k >= 0; k--) {
-        double t = rhs[k];
-        for (long j = k + 1; j < S; j++)
-            t -= J[k * stride + j] * rhs[j];
-        rhs[k] = t / J[k * stride + k];
+        const double *row = J + (long)w->piv[k] * S;
+        double t = b[w->piv[k]];
+        for (long u = w->col_off[k]; u < w->col_off[k + 1]; u++)
+            t -= row[w->col[u]] * x[w->col[u]];
+        x[k] = t / row[k];
     }
+}
+
+/* 1 when no entry of v is Inf or NaN (an all-ones exponent carries
+ * into the top bit). */
+static int all_finite(const double *v, long n)
+{
+    uint64_t acc = 0;
+    for (long i = 0; i < n; i++) {
+        uint64_t u;
+        memcpy(&u, v + i, sizeof u);
+        acc |= (u & 0x7ff0000000000000ULL) + 0x0010000000000000ULL;
+    }
+    return !(acc >> 63);
+}
+
+/* J = A (+ B, row stride bs) (+ gmin on the first n_diag diagonal
+ * entries), in the order the dense kernel always composed it. */
+static void lu_compose(double *J, long S, const double *A, const double *B,
+                       long bs, double gmin, long n_diag)
+{
+    if (!B)
+        memcpy(J, A, (size_t)(S * S) * sizeof(double));
+    else
+        for (long i = 0; i < S; i++)
+            for (long j = 0; j < S; j++)
+                J[i * S + j] = A[i * S + j] + B[i * bs + j];
+    if (gmin > 0.0)
+        for (long i = 0; i < n_diag; i++)
+            J[i * S + i] += gmin;
+}
+
+/* Solve (A + B + gmin) x = rhs, b is scratch.  Unless `reuse` (J holds
+ * this matrix's factors), compose and factor it in J: replay the
+ * pattern, or record one on a pivot disagreement or a non-finite
+ * matrix.  A sparse solve that comes out non-finite is redone dense.
+ * Returns 0, or 1 on an exactly-zero pivot.  cnt: [0] factorizations,
+ * [1] reuses, [2] re-records after a pivot disagreement, [3] recording
+ * passes. */
+static int lu_step(lu_pat *w, double *J, const double *A, const double *B,
+                   long bs, double gmin, long n_diag, int reuse,
+                   const double *rhs, double *b, double *x, int64_t *cnt)
+{
+    long S = w->S;
+    int st = 0;
+    cnt[reuse ? 1 : 0]++;
+    if (!reuse) {
+        lu_compose(J, S, A, B, bs, gmin, n_diag);
+        int finite = all_finite(J, S * S);
+        st = finite && w->state == 1 ? lu_replay(w, J) : 3;
+        if (st == 2) {
+            cnt[2]++;
+            lu_compose(J, S, A, B, bs, gmin, n_diag);
+        }
+        if (st >= 2) {
+            cnt[3]++;
+            st = lu_record(w, J, !finite);
+        }
+    }
+    for (int pass = 0; !st && pass < 2; pass++) {
+        memcpy(b, rhs, (size_t)S * sizeof(double));
+        lu_apply(w, J, b, x);
+        if (w->state != 1 || all_finite(x, S))
+            break;
+        lu_compose(J, S, A, B, bs, gmin, n_diag);
+        cnt[3]++;
+        st = lu_record(w, J, 1);
+    }
+    return st;
+}
+
+/* Test entry: solve N systems (J: N*S*S, b: N*S) in turn under the
+ * union of their nonzeros, so the first records and the rest replay or
+ * re-record; each factorization is then reused to solve b2 into x2.
+ * sing[n]: exactly-zero pivot; cnt as lu_step.  -1: out of memory. */
+long repro_lu_check(long S, long N, const double *J, const double *b,
+                    const double *b2, double *x, double *x2,
+                    uint8_t *sing, int64_t *cnt)
+{
+    lu_pat w;
+    double *jm = malloc((size_t)(S * S + S) * sizeof(double) + LU_BYTES(S));
+    if (!jm) return -1;
+    lu_init(&w, S, jm + S * S + S);
+    memset(w.nz0, 0, (size_t)(S * S));
+    for (long i = 0; i < N * S * S; i++)
+        w.nz0[i % (S * S)] |= J[i] != 0.0;
+    for (long n = 0; n < N; n++) {
+        const double *A = J + n * S * S;
+        sing[n] = (uint8_t)lu_step(&w, jm, A, 0, 0, 0.0, 0, 0, b + n * S,
+                                   jm + S * S, x + n * S, cnt);
+        if (!sing[n])
+            lu_step(&w, jm, A, 0, 0, 0.0, 0, 1, b2 + n * S, jm + S * S,
+                    x2 + n * S, cnt);
+    }
+    free(jm);
     return 0;
 }
 
 /* Everything a single-lane Newton solve needs that does not change
  * between steps: system shape, device tables, tolerances, the bypass
- * cache, and the scratch buffers (owned by the entry points). */
+ * cache, the scratch buffers (one block, also holding the entry points'
+ * per-lane buffers), the lane's LU pattern, the key of the
+ * factorization held in jmat, and the work counters. */
 typedef struct {
     long S, n_nodes;
     const int64_t *dev_off, *d_loc, *g_loc, *s_loc;
@@ -208,8 +418,58 @@ typedef struct {
     double eta;
     uint8_t *cache_valid;
     double *cache_x, *cache_jnl, *cache_fnl;
-    double *jmat, *jnl, *fnl, *xext, *fvec, *rhs;
+    double *jmat, *jnl, *fnl, *xext, *fvec, *rhs, *delta, *bscr;
+    double *gbase, *beff, *xpred, *xn;
+    lu_pat lu;
+    /* jmat holds the factors of a frozen iteration's matrix with key
+     * (1/dt bits, gmin bits, bypass-cache generation gen) when key_ok. */
+    long key_ok;
+    uint64_t key[3], gen;
+    int64_t cnt[4];             /* lu_step counters */
+    int64_t dev_evals;
 } lane_ctx;
+
+/* Allocate the scratch block (free c->jmat); 0 on failure. */
+static int ctx_alloc(lane_ctx *c, long S)
+{
+    long ext = S + 1;
+    double *a = malloc((size_t)(2 * S * S + ext * ext + 2 * ext + 8 * S)
+                       * sizeof(double) + LU_BYTES(S));
+    c->jmat = a;
+    if (!a) return 0;
+    c->gbase = a + S * S;
+    c->jnl = c->gbase + S * S;
+    c->fnl = c->jnl + ext * ext;
+    c->xext = c->fnl + ext;
+    double **v[] = { &c->fvec, &c->rhs, &c->delta, &c->bscr,
+                     &c->beff, &c->xpred, &c->xn };
+    for (long i = 0; i < 7; i++)
+        *v[i] = c->xext + ext + i * S;
+    lu_init(&c->lu, S, c->xext + ext + 8 * S);
+    return 1;
+}
+
+/* Start lane m: its structure is the nonzeros of the linear base A (and
+ * B when given), every device's {d,s} x {d,g,s} stamp slots and the gmin
+ * diagonal; no pattern is recorded and no factorization is kept. */
+static void ctx_lane(lane_ctx *c, long m, const double *A, const double *B)
+{
+    long S = c->S;
+    uint8_t *nz = c->lu.nz0;
+    for (long i = 0; i < S * S; i++)
+        nz[i] = A[i] != 0.0 || (B && B[i] != 0.0);
+    for (long i = 0; i < c->n_nodes; i++)
+        nz[i * S + i] = 1;
+    for (long dev = c->dev_off[m]; dev < c->dev_off[m + 1]; dev++) {
+        long t[3] = { c->d_loc[dev], c->g_loc[dev], c->s_loc[dev] };
+        for (long a = 0; a < 3; a += 2)
+            for (long q = 0; q < 3; q++)
+                if (t[a] < S && t[q] < S)
+                    nz[t[a] * S + t[q]] = 1;
+    }
+    c->lu.state = 0;
+    c->key_ok = 0;
+}
 
 /* Cached stamps still usable at the accepted state xp?  Mirrors
  * _EnsembleBypass.frozen_lanes for one member. */
@@ -228,34 +488,31 @@ static long lane_frozen(const lane_ctx *c, long m, const double *xp)
 }
 
 /* Damped Newton to completion for one lane: assemble (linear base G +
- * TFT stamps or cached bypass stamps), partial-pivot LU, damp, update.
- * xl is updated in place (partial iterate on non-convergence, like the
+ * TFT stamps or cached bypass stamps), solve through lu_step, damp,
+ * update.  A frozen iteration reuses the factors in jmat when its key
+ * (1/dt bits `idt`, gmin, bypass-cache generation) matches.  xl is
+ * updated in place (partial iterate on non-convergence, like the
  * reference).  Returns the iteration count; *ok_out is 1 on
  * convergence, 0 on budget exhaustion or a singular Jacobian. */
-static long lane_newton(const lane_ctx *c, long m, const double *G,
+static long lane_newton(lane_ctx *c, long m, const double *G,
                         const double *beff, double *xl, long frozen,
                         long budget, double step_cap, double gmin,
-                        long *ok_out)
+                        double idt, long *ok_out)
 {
     long S = c->S, n_nodes = c->n_nodes, ext = S + 1;
-    double *jmat = c->jmat, *jnl = c->jnl, *fnl = c->fnl;
+    double *jnl = c->jnl, *fnl = c->fnl;
     double *xext = c->xext, *fvec = c->fvec, *rhs = c->rhs;
+    double *delta = c->delta;
     long iter = 0;
     long ok = 0;
     while (iter < budget) {
         /* Nonlinear stamps: cached (frozen) or fresh. */
+        const double *jn, *fn;
+        long js;
         if (frozen) {
-            const double *cj = c->cache_jnl + (size_t)m * S * S;
-            const double *cf = c->cache_fnl + (size_t)m * S;
-            for (long i = 0; i < S; i++)
-                for (long j = 0; j < S; j++)
-                    jmat[i * S + j] = G[i * S + j] + cj[i * S + j];
-            for (long i = 0; i < S; i++) {
-                double acc = 0.0;
-                for (long j = 0; j < S; j++)
-                    acc += G[i * S + j] * xl[j];
-                fvec[i] = acc - beff[i] + cf[i];
-            }
+            jn = c->cache_jnl + (size_t)m * S * S;
+            fn = c->cache_fnl + (size_t)m * S;
+            js = S;
         } else {
             memset(jnl, 0, (size_t)(ext * ext) * sizeof(double));
             memset(fnl, 0, (size_t)ext * sizeof(double));
@@ -284,22 +541,20 @@ static long lane_newton(const lane_ctx *c, long m, const double *G,
                 jnl[b_n * ext + g]   -= gmv;
                 jnl[b_n * ext + b_n] += gsum;
             }
-            for (long i = 0; i < S; i++)
-                for (long j = 0; j < S; j++)
-                    jmat[i * S + j] = G[i * S + j] + jnl[i * ext + j];
-            for (long i = 0; i < S; i++) {
-                double acc = 0.0;
-                for (long j = 0; j < S; j++)
-                    acc += G[i * S + j] * xl[j];
-                fvec[i] = acc - beff[i] + fnl[i];
-            }
+            c->dev_evals += c->dev_off[m + 1] - c->dev_off[m];
+            jn = jnl;
+            fn = fnl;
+            js = ext;
         }
-        if (gmin > 0.0) {
-            for (long i = 0; i < n_nodes; i++) {
-                jmat[i * S + i] += gmin;
+        for (long i = 0; i < S; i++) {
+            double acc = 0.0;
+            for (long j = 0; j < S; j++)
+                acc += G[i * S + j] * xl[j];
+            fvec[i] = acc - beff[i] + fn[i];
+        }
+        if (gmin > 0.0)
+            for (long i = 0; i < n_nodes; i++)
                 fvec[i] += gmin * xl[i];
-            }
-        }
         double residual = 0.0;
         for (long i = 0; i < n_nodes; i++) {
             double v = fabs(fvec[i]);
@@ -307,13 +562,21 @@ static long lane_newton(const lane_ctx *c, long m, const double *G,
         }
         for (long i = 0; i < S; i++)
             rhs[i] = -fvec[i];
-        if (lu_solve(jmat, S, rhs, S)) {
+        uint64_t key[3] = { 0, 0, c->gen };
+        memcpy(key, &idt, sizeof idt);
+        memcpy(key + 1, &gmin, sizeof gmin);
+        int reuse = frozen && c->key_ok && !memcmp(key, c->key, sizeof key);
+        int singular = lu_step(&c->lu, c->jmat, G, jn, js, gmin, n_nodes,
+                               reuse, rhs, c->bscr, delta, c->cnt);
+        c->key_ok = frozen && !singular;
+        memcpy(c->key, key, sizeof key);
+        if (singular) {
             ok = 0;          /* singular lane: deactivate, not fatal */
             break;
         }
         double max_delta = 0.0;
         for (long i = 0; i < S; i++) {
-            double v = fabs(rhs[i]);
+            double v = fabs(delta[i]);
             if (v > max_delta) max_delta = v;
         }
         double scale = 1.0;
@@ -331,9 +594,10 @@ static long lane_newton(const lane_ctx *c, long m, const double *G,
             for (long i = 0; i < S; i++) cf[i] = fnl[i];
             memcpy(cx, xl, (size_t)S * sizeof(double));
             c->cache_valid[m] = 1;
+            c->gen++;
         }
         for (long i = 0; i < S; i++)
-            xl[i] += rhs[i] * scale;
+            xl[i] += delta[i] * scale;
         iter++;
         if (done_now) { ok = 1; break; }
     }
@@ -368,29 +632,20 @@ long repro_ensemble_newton(
     double *x,                  /* A*S, in/out */
     uint8_t *conv,              /* A, out */
     int64_t *stats)             /* [0] frozen lane-steps, [1] total lane
-                                 * iterations, [2] singular lanes, out */
+                                 * iterations, [2] singular lanes, [3]
+                                 * LU factorizations, [4] reuses, [5]
+                                 * re-records, [6] device evals, out */
 {
-    long ext = S + 1;
-    double *gbase = malloc((size_t)(S * S) * sizeof(double));
-    double *jmat  = malloc((size_t)(S * S) * sizeof(double));
-    double *jnl   = malloc((size_t)(ext * ext) * sizeof(double));
-    double *fnl   = malloc((size_t)ext * sizeof(double));
-    double *xext  = malloc((size_t)ext * sizeof(double));
-    double *beff  = malloc((size_t)S * sizeof(double));
-    double *fvec  = malloc((size_t)S * sizeof(double));
-    double *rhs   = malloc((size_t)S * sizeof(double));
     long iters_max = 0;
     long frozen_steps = 0;
     int64_t total_iters = 0, singular_n = 0;
-    if (!gbase || !jmat || !jnl || !fnl || !xext || !beff || !fvec || !rhs) {
-        iters_max = -1;
-        goto done;
-    }
     lane_ctx c = { S, n_nodes, dev_off, d_loc, g_loc, s_loc, pol, par,
                    fet_gmin, abstol_v, abstol_i, bypass_on,
                    n_slots, slots, eta,
-                   cache_valid, cache_x, cache_jnl, cache_fnl,
-                   jmat, jnl, fnl, xext, fvec, rhs };
+                   cache_valid, cache_x, cache_jnl, cache_fnl };
+    if (!ctx_alloc(&c, S))
+        return -1;
+    double *gbase = c.gbase, *beff = c.beff;
 
     for (long lane = 0; lane < A; lane++) {
         long m = mem[lane];
@@ -410,6 +665,13 @@ long repro_ensemble_newton(
         } else {
             G = G_lin + (size_t)lane * S * S;
         }
+        /* The lane's factorization key resets here: reuse holds within
+         * one call only. */
+        if (compose_g)
+            ctx_lane(&c, m, G_static + (size_t)m * S * S,
+                     C_unit + (size_t)m * S * S);
+        else
+            ctx_lane(&c, m, G, 0);
 
         /* Effective rhs: b plus the storage history C x_prev / dt. */
         if (add_storage) {
@@ -432,7 +694,8 @@ long repro_ensemble_newton(
 
         long ok;
         long iter = lane_newton(&c, m, G, beff, xl, frozen,
-                                max_iter[lane], max_step_v[lane], gmin, &ok);
+                                max_iter[lane], max_step_v[lane], gmin,
+                                0.0, &ok);
         conv[lane] = (uint8_t)ok;
         total_iters += iter;
         /* A lane that stopped short of its budget unconverged hit the
@@ -441,13 +704,15 @@ long repro_ensemble_newton(
         if (iter > iters_max) iters_max = iter;
     }
 
-done:
-    free(gbase); free(jmat); free(jnl); free(fnl);
-    free(xext); free(beff); free(fvec); free(rhs);
+    free(c.jmat);
     if (stats) {
         stats[0] = frozen_steps;
         stats[1] = total_iters;
         stats[2] = singular_n;
+        stats[3] = c.cnt[0];
+        stats[4] = c.cnt[1];
+        stats[5] = c.cnt[2];
+        stats[6] = c.dev_evals;
     }
     return iters_max;
 }
@@ -471,8 +736,9 @@ done:
  * step).  stats: [0] accepted steps, [1] halvings, [2] LTE rejections,
  * [3] frozen (bypassed) lane-steps, [4] bailed lanes, [5] total lane
  * Newton iterations (prediction + retry attempts, same counting as the
- * per-lane reference), [6] probe crossings recorded.  Returns 0, or
- * -1 when scratch allocation fails (no state touched). */
+ * per-lane reference), [6] probe crossings recorded, [7] LU
+ * factorizations, [8] reuses, [9] re-records, [10] device evals.
+ * Returns 0, or -1 when scratch allocation fails (no state touched). */
 long repro_ensemble_timestep(
     long B, long S, long n_nodes,
     const double *G_static, const double *C_unit,   /* B*S*S each */
@@ -503,30 +769,15 @@ long repro_ensemble_timestep(
     uint8_t *cross_rise,        /* n_probes*B*cross_cap, out */
     int64_t *cross_n,           /* n_probes*B, out */
     uint8_t *status,            /* B, out */
-    int64_t *stats)             /* [5], out */
+    int64_t *stats)             /* [11], out */
 {
-    long ext = S + 1;
-    double *gbase = malloc((size_t)(S * S) * sizeof(double));
-    double *jmat  = malloc((size_t)(S * S) * sizeof(double));
-    double *jnl   = malloc((size_t)(ext * ext) * sizeof(double));
-    double *fnl   = malloc((size_t)ext * sizeof(double));
-    double *xext  = malloc((size_t)ext * sizeof(double));
-    double *beff  = malloc((size_t)S * sizeof(double));
-    double *fvec  = malloc((size_t)S * sizeof(double));
-    double *rhs   = malloc((size_t)S * sizeof(double));
-    double *xpred = malloc((size_t)S * sizeof(double));
-    double *xn    = malloc((size_t)S * sizeof(double));
-    if (!gbase || !jmat || !jnl || !fnl || !xext
-            || !beff || !fvec || !rhs || !xpred || !xn) {
-        free(gbase); free(jmat); free(jnl); free(fnl); free(xext);
-        free(beff); free(fvec); free(rhs); free(xpred); free(xn);
-        return -1;
-    }
     lane_ctx c = { S, n_nodes, dev_off, d_loc, g_loc, s_loc, pol, par,
                    fet_gmin, abstol_v, abstol_i, bypass_on,
                    n_slots, slots, eta,
-                   cache_valid, cache_x, cache_jnl, cache_fnl,
-                   jmat, jnl, fnl, xext, fvec, rhs };
+                   cache_valid, cache_x, cache_jnl, cache_fnl };
+    if (!ctx_alloc(&c, S))
+        return -1;
+    double *gbase = c.gbase, *beff = c.beff, *xpred = c.xpred, *xn = c.xn;
     int64_t acc_n = 0, halv_n = 0, lte_n = 0, frozen_n = 0, bail_n = 0;
     int64_t iter_n = 0, cross_count = 0;
 
@@ -540,6 +791,7 @@ long repro_ensemble_timestep(
         double stop = t_stop[m], dmin = dt_min[m], dnom = dt_nom[m];
         double dcap = dt_cap[m], tol = lte_tol[m], grow = growth[m];
         status[m] = 0;
+        ctx_lane(&c, m, gs, cu);
 
         while (stop - lane_t > dmin) {
             double rem = stop - lane_t;
@@ -592,7 +844,7 @@ long repro_ensemble_timestep(
             memcpy(xn, xpred, (size_t)S * sizeof(double));
             long ok;
             iter_n += lane_newton(&c, m, gbase, beff, xn, frozen,
-                                  budget, step_cap, 0.0, &ok);
+                                  budget, step_cap, 0.0, idt, &ok);
             double pred_err = NAN;
             if (ok && hist) {
                 double mv = 0.0;
@@ -604,7 +856,7 @@ long repro_ensemble_timestep(
             } else if (!ok && hist) {
                 memcpy(xn, xl, (size_t)S * sizeof(double));
                 iter_n += lane_newton(&c, m, gbase, beff, xn, frozen,
-                                      budget, step_cap, 0.0, &ok);
+                                      budget, step_cap, 0.0, idt, &ok);
             }
 
             if (!ok) {
@@ -688,11 +940,12 @@ long repro_ensemble_timestep(
         dt[m] = lane_dt;
     }
 
-    free(gbase); free(jmat); free(jnl); free(fnl); free(xext);
-    free(beff); free(fvec); free(rhs); free(xpred); free(xn);
+    free(c.jmat);
     stats[0] = acc_n; stats[1] = halv_n; stats[2] = lte_n;
     stats[3] = frozen_n; stats[4] = bail_n;
     stats[5] = iter_n; stats[6] = cross_count;
+    stats[7] = c.cnt[0]; stats[8] = c.cnt[1]; stats[9] = c.cnt[2];
+    stats[10] = c.dev_evals;
     return 0;
 }
 """
@@ -703,13 +956,14 @@ _NO_BYPASS = (0, 0.0, 0, None, None, None, None, None)
 
 
 class _Kernel:
-    """The bound C entry points (one shared object, two functions)."""
+    """The bound C entry points (one shared object, three functions)."""
 
-    __slots__ = ("newton", "timestep")
+    __slots__ = ("newton", "timestep", "lu_check")
 
-    def __init__(self, newton, timestep) -> None:
+    def __init__(self, newton, timestep, lu_check) -> None:
         self.newton = newton
         self.timestep = timestep
+        self.lu_check = lu_check
 
 
 def _bind(lib: ctypes.CDLL) -> _Kernel:
@@ -753,7 +1007,11 @@ def _bind(lib: ctypes.CDLL) -> _Kernel:
         L, P, P, P,                 # cross_cap, cross_t, cross_rise, cross_n
         P, P,                       # status, stats
     ]
-    return _Kernel(newton, timestep)
+
+    lu_check = lib.repro_lu_check
+    lu_check.restype = L
+    lu_check.argtypes = [L, L, P, P, P, P, P, P, P]
+    return _Kernel(newton, timestep, lu_check)
 
 
 # -ffp-contract=off: no fused multiply-adds, so the controller arithmetic
@@ -867,6 +1125,40 @@ def _ts_prep(es) -> _TimestepPrep:
     return prep
 
 
+_LU_COUNTERS = tuple(f"backend.native.{name}" for name in (
+    "lu_factorizations", "lu_reuses", "lu_rerecords", "device_evals"))
+
+
+def _count_lu(stats: np.ndarray) -> None:
+    """Flush one kernel call's LU and device-evaluation work counts."""
+    for name, value in zip(_LU_COUNTERS, stats.tolist()):
+        if value:
+            telemetry.count(name, value)
+
+
+def lu_check(J: np.ndarray, b: np.ndarray, b2: np.ndarray):
+    """Solve ``J[n] x = b[n]``, then ``J[n] x2 = b2[n]`` on the same factors.
+
+    The N systems go through the kernel's LU in turn under the union of
+    their nonzeros, so the first records the pattern and the rest replay
+    or re-record it.  Returns ``(x, x2, singular, counts)`` with counts
+    ``[factorizations, reuses, re-records, recording passes]``, or None
+    when the kernel is unavailable.
+    """
+    kernel = load_kernel()
+    if kernel is None:
+        return None
+    J, b, b2 = (np.ascontiguousarray(a, dtype=np.float64) for a in (J, b, b2))
+    x, x2 = np.zeros_like(b), np.zeros_like(b)
+    singular = np.zeros(len(b), dtype=np.uint8)
+    counts = np.zeros(4, dtype=np.int64)
+    if kernel.lu_check(b.shape[1], len(b), J.ctypes.data, b.ctypes.data,
+                       b2.ctypes.data, x.ctypes.data, x2.ctypes.data,
+                       singular.ctypes.data, counts.ctypes.data) < 0:
+        raise MemoryError("LU check scratch allocation failed")
+    return x, x2, singular.view(np.bool_), counts.tolist()
+
+
 class NativeBackend(NumpyBackend):
     """NumPy reference solves plus the compiled ensemble kernels."""
 
@@ -899,7 +1191,7 @@ class NativeBackend(NumpyBackend):
         G_lin = request.G_lin
         options = request.options
         conv = np.zeros(A, dtype=np.uint8)
-        stats = np.zeros(3, dtype=np.int64)
+        stats = np.zeros(7, dtype=np.int64)
         bypass = request.bypass
         (S, n_nodes, g_static_a, c_unit_a, dev_off_a, d_a, g_a, s_a,
          pol_a, par_a, n_slots, slots_a) = prep.static_args
@@ -940,6 +1232,7 @@ class NativeBackend(NumpyBackend):
             if stats[2]:
                 telemetry.count("backend.native.singular_lanes",
                                 int(stats[2]))
+            _count_lu(stats[3:7])
         return x, conv.view(np.bool_), int(iters)
 
     def ensemble_timestep(self, et) -> dict | None:
@@ -978,7 +1271,7 @@ class NativeBackend(NumpyBackend):
         cross_rise = np.zeros((n_probes, B, CROSS_CAP), dtype=np.uint8)
         cross_n = np.zeros((n_probes, B), dtype=np.int64)
         status = np.zeros(B, dtype=np.uint8)
-        stats = np.zeros(7, dtype=np.int64)
+        stats = np.zeros(11, dtype=np.int64)
 
         ret = kernel.timestep(
             B, S, n_nodes,
@@ -1032,5 +1325,6 @@ class NativeBackend(NumpyBackend):
                             int(stats[5]))
             if stats[6]:
                 telemetry.count("ensemble.probe_crossings", int(stats[6]))
+            _count_lu(stats[7:11])
         return {"accepted": int(stats[0]), "halvings": int(stats[1]),
                 "lte_rejections": int(stats[2]), "bailed": int(stats[4])}

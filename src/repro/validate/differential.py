@@ -160,34 +160,44 @@ def ensemble_vs_scalar_dc(ctx: CheckContext) -> str:
 
 @check("backend-agreement", "differential")
 def backend_agreement(ctx: CheckContext) -> str:
-    """numpy == native (both dispatch depths) on real arcs.
+    """numpy == native (both dispatch depths) on real arcs and the flop.
 
     The native backend is measured twice: the whole-timestep C sweep
     (``REPRO_NATIVE_TIMESTEP=1``, the default) and the per-iteration
     Newton kernel under the Python sweep loop (``=0``).  Both must agree
     with numpy to solver tolerance on the seeded mini-grid — and with
     *each other* bitwise, which the step-schedule contract promises.
+    The inverter arcs solve S = 8 systems; the flip-flop's clk->q leg
+    covers the S = 24 pivoting path.
     """
     from repro.cells.library_def import organic_library_definition
-    from repro.characterization.harness import default_grid, measure_arc_batch
+    from repro.characterization.harness import (
+        default_grid,
+        estimate_gate_delay,
+        measure_arc_batch,
+        measure_clk_to_q_batch,
+    )
     from repro.spice.backends import get_backend, reset_backend
 
     defn = organic_library_definition()
     inv = defn.cell("inv")
     grid = default_grid(defn)
     rng = ctx.rng()
-    n_points = 2 if ctx.fast else 5
-    points = []
-    for _ in range(n_points):
-        s = rng.uniform(grid.slews[0], grid.slews[-1])
-        c = rng.uniform(grid.loads[0], grid.loads[-1])
-        points.append((s, c))
+
+    def draw(n: int) -> list[tuple[float, float]]:
+        return [(rng.uniform(grid.slews[0], grid.slews[-1]),
+                 rng.uniform(grid.loads[0], grid.loads[-1]))
+                for _ in range(n)]
+
+    points = draw(2 if ctx.fast else 5)
+    dff_points = draw(1 if ctx.fast else 3)
+    t_unit = estimate_gate_delay(inv, 4.0 * inv.input_capacitance("a"))
 
     legs = (("numpy", "numpy", {}),
             ("native", "native", {"REPRO_NATIVE_TIMESTEP": "1"}),
             ("native-periter", "native",
              {"REPRO_NATIVE_TIMESTEP": "0"}))
-    results: dict[str, list[tuple[float, float]]] = {}
+    results: dict[str, tuple[list, list[float]]] = {}
     try:
         for leg, backend, extra in legs:
             with swap_env(REPRO_BACKEND=backend, REPRO_ENSEMBLE="1",
@@ -195,7 +205,9 @@ def backend_agreement(ctx: CheckContext) -> str:
                 reset_backend()
                 if get_backend().name != backend:
                     continue             # e.g. native without a C compiler
-                results[leg] = measure_arc_batch(inv, "a", True, points)
+                results[leg] = (
+                    measure_arc_batch(inv, "a", True, points),
+                    measure_clk_to_q_batch(defn.dff, dff_points, t_unit))
     finally:
         reset_backend()
 
@@ -207,18 +219,120 @@ def backend_agreement(ctx: CheckContext) -> str:
             continue
         # The compiled kernel reorders floating-point work, so it gets
         # solver tolerance.
-        for (s, c), (d_ref, t_ref), (d_b, t_b) in zip(points, reference,
-                                                      measured):
+        for (s, c), (d_ref, t_ref), (d_b, t_b) in zip(points, reference[0],
+                                                      measured[0]):
             where = f"{name} inv.a rise slew={s:g} load={c:g}"
             expect_close(d_b, d_ref, rel=1e-6, label=f"delay @ {where}")
             expect_close(t_b, t_ref, rel=1e-6, label=f"transition @ {where}")
+            compared += 1
+        for (s, c), d_ref, d_b in zip(dff_points, reference[1], measured[1]):
+            expect_close(d_b, d_ref, rel=1e-6, label=f"clk->q @ {name} "
+                         f"slew={s:g} load={c:g}")
             compared += 1
     if "native" in results and "native-periter" in results:
         expect(results["native"] == results["native-periter"],
                "whole-timestep native and per-iteration native disagree "
                "bitwise — the step-schedule contract is broken")
     backends = "+".join(sorted(results))
-    return f"{backends}: {compared} arc points agree"
+    return (f"{backends}: {compared} points agree ({len(dff_points)} "
+            f"flip-flop clk->q per backend)")
+
+
+def _mna_batch(rng: np.random.Generator, n: int, m: int,
+               jitter: list[float]) -> np.ndarray:
+    """MNA-shaped matrices of one structure, S = n nodes + m sources.
+
+    Conductances and one-way transconductances over six decades, a small
+    capacitive diagonal, and m voltage-source rows with a zero diagonal
+    whose ±1 incidences force swaps and tie in magnitude.  Matrix k
+    scales each value by up to ``jitter[k]`` decades, which can move
+    pivots.
+    """
+    pairs = rng.integers(0, n, size=(3 * n, 2))
+    g0 = 10.0 ** rng.uniform(-3.0, 3.0, size=3 * n)
+    ports = rng.choice(n, size=m, replace=False)
+    out = np.zeros((len(jitter), n + m, n + m))
+    for J, jit in zip(out, jitter):
+        g = g0 * 10.0 ** rng.uniform(-jit, jit, size=3 * n)
+        (i, j), gc = pairs[:2 * n].T, g[:2 * n]
+        for rows, cols, sign in ((i, i, 1), (j, j, 1), (i, j, -1),
+                                 (j, i, -1)):
+            np.add.at(J, (rows, cols), sign * gc)
+        np.add.at(J, tuple(pairs[2 * n:].T), g[2 * n:])
+        J[np.arange(n), np.arange(n)] += rng.uniform(0.0, 1e-3, size=n)
+        J[ports, n + np.arange(m)] = J[n + np.arange(m), ports] = 1.0
+    return out
+
+
+@check("kernel-lu-oracle", "differential")
+def kernel_lu_oracle(ctx: CheckContext) -> str:
+    """The spice kernel's sparse LU == the dense partial-pivot oracle.
+
+    Each seeded batch runs through the kernel's LU in turn: the first
+    matrix records the pattern, the rest replay it or re-record on a
+    pivot disagreement, and every factorization is reused for a second
+    right-hand side.  The cases cover swaps forced by source rows, exact
+    pivot ties, a singular matrix, S = 1, S > 64, and NaN/Inf.  Every
+    solution component must equal the oracle's (NaN where it has NaN).
+    """
+    from repro.spice.backends import native
+    from repro.validate.lu_oracle import lu_solve
+
+    if native.load_kernel() is None:
+        return "no native kernel available (nothing to compare)"
+    rng = np.random.default_rng(ctx.rng().getrandbits(63))
+    jitter = [2.0 if k % 3 == 2 else 0.01 for k in range(6 if ctx.fast
+                                                          else 16)]
+    cases = {"mna": _mna_batch(rng, 16, 8, jitter),
+             "S>64": _mna_batch(rng, 60, 10 if ctx.fast else 20,
+                                [0.01, 0.01, 2.0]),
+             "S=1": np.array([[[2.5]], [[-0.5]], [[0.0]]]),
+             "ties": _mna_batch(rng, 5, 2, [0.0, 0.0]),
+             "singular": _mna_batch(rng, 6, 2, [0.01, 0.01]),
+             "non-finite": np.zeros((2, 14, 14))}
+    cases["ties"][:, 1:, 0] = [3.0, -3.0, 3.0, -3.0, 3.0, -3.0]
+    cases["singular"][1, 6] = cases["singular"][1, 7]  # sources share a node
+    # Two decoupled blocks, a NaN right side and an Inf entry: NaN must
+    # reach the second block exactly as the dense loop spreads it.
+    bad = cases["non-finite"]
+    bad[:, :8, :8] = _mna_batch(rng, 6, 2, [0.01, 0.01])
+    bad[:, 8:, 8:] = _mna_batch(rng, 5, 1, [0.01, 0.01])
+    bad[1, 2, 3] = np.inf
+
+    counts = np.zeros(4, dtype=np.int64)
+    solved = n_singular = n_nan = 0
+    for name, J in cases.items():
+        b, b2 = rng.normal(size=(2,) + J.shape[:2])
+        if name == "non-finite":
+            b[0, 0] = np.nan
+        x, x2, sing, cnt = native.lu_check(J, b, b2)
+        counts += cnt
+        for k, (rhs, got) in enumerate(zip(np.r_[b, b2], np.r_[x, x2])):
+            k %= len(J)
+            want = lu_solve(J[k].tolist(), rhs.tolist())
+            where = f"{name}[{k}] (S={len(rhs)})"
+            expect((want is None) == sing[k], f"{where}: singular "
+                   f"{bool(sing[k])} in the kernel, {want is None} in "
+                   f"the oracle")
+            if want is None:
+                n_singular += 1
+                continue
+            want = np.array(want)
+            n_nan += bool(np.isnan(want).any())
+            same = (got == want) | (np.isnan(got) & np.isnan(want))
+            i = int(np.argmin(same))
+            expect(bool(same.all()), f"{where}: component {i} is "
+                   f"{got[i]!r}, the oracle gives {want[i]!r}")
+            solved += 1
+    factorizations, reuses, rerecords, passes = counts.tolist()
+    expect(passes < factorizations and min(rerecords, reuses, n_singular,
+                                           n_nan) > 0,
+           f"replay, re-record, reuse, singular and NaN not all exercised "
+           f"(counts {counts.tolist()}, {n_singular} singular, {n_nan} NaN)")
+    return (f"{solved} solves bit-equal to the dense oracle "
+            f"({n_singular} singular, {n_nan} with NaN); {factorizations} "
+            f"factorizations, {factorizations - passes} replayed, "
+            f"{rerecords} re-recorded, {reuses} reused")
 
 
 @check("ipc-kernel-agreement", "differential")

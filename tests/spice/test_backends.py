@@ -350,6 +350,42 @@ class TestCounterParity:
         np.testing.assert_allclose(final_it, ref_final,
                                    rtol=1e-6, atol=1e-9)
 
+    def test_lu_counters_account_for_every_iteration(self, monkeypatch):
+        """Each lane Newton iteration factors or reuses exactly once, and
+        both native entry points evaluate the same devices."""
+        backend = _use(monkeypatch, "native", REPRO_NATIVE_TIMESTEP="1")
+        if backend.name != "native":
+            pytest.skip("no C compiler on this machine")
+        evals = {}
+        for timestep in ("1", "0"):
+            monkeypatch.setenv("REPRO_NATIVE_TIMESTEP", timestep)
+            reset_backend()
+            _, _, counters = self._counted_run()
+            assert counters.get("backend.native.singular_lanes", 0) == 0
+            assert (counters["backend.native.lu_factorizations"]
+                    + counters.get("backend.native.lu_reuses", 0)
+                    == counters["ensemble.newton_lane_iterations"])
+            evals[timestep] = counters["backend.native.device_evals"]
+        assert evals["1"] == evals["0"] > 0
+
+    def test_flip_flop_reuses_factorizations(self, monkeypatch):
+        from repro.cells.library_def import organic_library_definition
+        from repro.characterization import harness
+
+        if _use(monkeypatch, "native").name != "native":
+            pytest.skip("no C compiler on this machine")
+        defn = organic_library_definition()
+        inv = defn.cell("inv")
+        t_unit = harness.estimate_gate_delay(
+            inv, 4.0 * inv.input_capacitance("a"))
+        grid = harness.default_grid(defn)
+        with telemetry.collecting():
+            harness.measure_clk_to_q_batch(
+                defn.dff, [(grid.slews[0], grid.loads[0])], t_unit)
+            counters = telemetry.counters()
+        assert counters.get("backend.native.lu_reuses", 0) > 0
+        assert counters["backend.native.lu_factorizations"] > 0
+
 
 class TestDispatchAndDegradation:
     def test_forced_numpy(self, monkeypatch):

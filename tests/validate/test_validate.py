@@ -168,6 +168,27 @@ class TestPerturbationFailsLoudly:
             assert f"{leg} leveler" in report.results[0].error
             assert "the greedy" in report.results[0].error
 
+    def test_one_ulp_off_kernel_lu_detected(self, monkeypatch):
+        # Nudge one solution component by one ulp: the oracle check
+        # compares with ==, so the kernel LU must be bit-exact.
+        import numpy as np
+
+        from repro.spice.backends import native
+
+        if native.load_kernel() is None:
+            pytest.skip("no C compiler on this machine")
+        original = native.lu_check
+
+        def skewed(J, b, b2):
+            x, x2, singular, counts = original(J, b, b2)
+            x[0, 0] = np.nextafter(x[0, 0], np.inf)
+            return x, x2, singular, counts
+
+        monkeypatch.setattr(native, "lu_check", skewed)
+        report = run_validation(fast=True, seed=0, only=["kernel-lu-oracle"])
+        assert not report.ok
+        assert "the oracle gives" in report.results[0].error
+
     def test_corrupted_cache_read_detected(self, monkeypatch):
         # Serve stale cycles from the cache: the warm-vs-cold diff must
         # catch the divergence from the uncached computation.
